@@ -87,5 +87,8 @@ def load_params(path, config: ModelConfig) -> ModelParams:
             f"{path}: parameter names do not match config "
             f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
         )
+    for name, shape in expected.items():
+        if arrays[name].shape != shape:
+            raise CheckpointError(f"{path}: {name}: shape {arrays[name].shape} does not match config {shape}")
     tensors = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
     return ModelParams(config, tensors)

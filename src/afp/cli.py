@@ -20,9 +20,10 @@ from .config import RunConfig, dumps_config, load_config, save_config
 from .errors import AfpError, CheckpointError, ConfigError, TrainingError, UsageError
 from .evaluate import PairClassificationTask, Template, classification_eval, translation_eval
 from .gradcheck import REL_TOL, loss_gradcheck
-from .model import forward
-from .represent import pca2, pool, retrieval_acc_at_1
+from .losses import embed
+from .represent import POOLING_METHODS, pca2, retrieval_acc_at_1
 from .training import (
+    SWEEP_GRIDS,
     CorpusHandles,
     ablation_sweep,
     generate_corpus,
@@ -126,11 +127,8 @@ def cmd_eval(args) -> int:
         payload.pop("step")
     elif args.task == "retrieval":
         batch = C.collate_pairs(handles.heldout_pairs)
-        layer = cfg.train.align_layer
-        src = forward(params, batch.src_tokens, batch.src_pad)
-        tgt = forward(params, batch.tgt_tokens, batch.tgt_pad)
-        h = pool(src.hidden_states[layer], batch.src_pad, cfg.train.pooling, layer=layer)
-        hp = pool(tgt.hidden_states[layer], batch.tgt_pad, cfg.train.pooling, layer=layer)
+        h = embed(params, batch.src_tokens, batch.src_pad, cfg.train.align_layer, cfg.train.pooling)
+        hp = embed(params, batch.tgt_tokens, batch.tgt_pad, cfg.train.align_layer, cfg.train.pooling)
         payload = {
             "task": "retrieval",
             "n": len(handles.heldout_pairs),
@@ -173,16 +171,12 @@ def cmd_export_embeddings(args) -> int:
     params = load_params(args.checkpoint, cfg.model)
     layer = args.layer if args.layer is not None else cfg.train.align_layer
     pooling = args.pooling or cfg.train.pooling
-    if not 0 <= layer <= cfg.model.n_layers:
-        print(f"layer {layer} outside [0, {cfg.model.n_layers}]", file=sys.stderr)
-        return 2
     pairs = C.load_jsonl(args.corpus, C.TranslationPair.from_json)
     if not pairs:
         raise UsageError(f"no pair records in {args.corpus!r}")
     sentences = [(p.src_lang, p.src_tokens) for p in pairs] + [(p.tgt_lang, p.tgt_tokens) for p in pairs]
     tokens, pad = C._pad_matrix([s for _, s in sentences], C.PAD)
-    res = forward(params, tokens, pad)
-    vectors = pool(res.hidden_states[layer], pad, pooling, layer=layer).array
+    vectors = embed(params, tokens, pad, layer, pooling).array
     coords = pca2(vectors)
     with open(args.out, "w", encoding="utf-8") as fh:
         for i, (lang, _) in enumerate(sentences):
@@ -280,18 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--corpus", required=True, help="pairs JSONL file to embed")
     p.add_argument("--layer", type=int)
-    p.add_argument("--pooling", choices=("mean", "max", "last_token"))
+    p.add_argument("--pooling", choices=POOLING_METHODS)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_export_embeddings)
 
     p = add_parser("gradcheck", help="finite-difference check of the loss gradients")
-    p.add_argument("--config", help="unused placeholder for symmetric invocation", default=None)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--coords", type=int, default=1, help="coordinates probed per tensor per seed")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = add_parser("sweep", help="run an ablation sweep and write a CSV")
-    p.add_argument("--kind", required=True, choices=("layer", "p_src", "pooling", "alpha", "policy"))
+    p.add_argument("--kind", required=True, choices=tuple(SWEEP_GRIDS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", help="comma-separated grid values (defaults per kind)")

@@ -10,8 +10,10 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .corpus import POLICIES, TASKS
 from .errors import ConfigError
 from .model import ModelConfig
+from .represent import POOLING_METHODS
 
 ENV_SEED = "AFP_SEED"
 
@@ -44,7 +46,7 @@ class TrainConfig:
             raise ConfigError(f"p_src must be in [0, 1], got {self.p_src}")
         if self.align_layer < 0:
             raise ConfigError(f"align_layer must be >= 0, got {self.align_layer}")
-        if self.pooling not in ("mean", "max", "last_token"):
+        if self.pooling not in POOLING_METHODS:
             raise ConfigError(f"unknown pooling {self.pooling!r}")
         if self.steps < 0 or self.mcl_batch < 1 or self.cif_batch < 1 or self.eval_every < 1:
             raise ConfigError("steps/batch/eval_every out of range")
@@ -72,9 +74,9 @@ class CorpusConfig:
     def __post_init__(self):
         if len(self.languages) != len(self.transforms):
             raise ConfigError("languages and transforms must have equal length")
-        if self.policy not in ("pivot", "pairwise"):
+        if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.task not in ("copy", "reverse"):
+        if self.task not in TASKS:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.length_min < 1 or self.length_max < self.length_min:
             raise ConfigError("bad length bounds")

@@ -25,6 +25,7 @@ VERB_SAME, VERB_DIFF = 5, 6
 N_SHARED_SPECIALS = 7
 
 TASKS = tuple(TASK_TAGS)
+POLICIES = ("pivot", "pairwise")
 ORDER_TRANSFORMS = ("identity", "reverse")
 
 

@@ -58,13 +58,10 @@ def loss_gradcheck(n_seeds: int = 20, coords_per_tensor: int = 1, batch: int = 4
     Fixed probe: 2 layers, d_model 16, vocab 64, batch 4. Returns the worst
     relative error per loss kind across all seeds.
     """
-    import numpy as np
-
     from . import corpus as C
     from .config import TrainConfig
-    from .losses import afp_loss, cif_loss, mcl_loss
-    from .model import ModelConfig, forward, init_params
-    from .represent import pool
+    from .losses import afp_loss, cif_loss, embed, mcl_loss
+    from .model import ModelConfig, init_params
     from .rng import stream
 
     mcfg = ModelConfig(vocab_size=64, d_model=16, n_layers=2, n_heads=2, d_ff=32, max_seq_len=48)
@@ -82,10 +79,8 @@ def loss_gradcheck(n_seeds: int = 20, coords_per_tensor: int = 1, batch: int = 4
         params = init_params(mcfg, seed=seed, dtype=np.float64)
 
         def mcl_fn():
-            src = forward(params, pair_batch.src_tokens, pair_batch.src_pad)
-            tgt = forward(params, pair_batch.tgt_tokens, pair_batch.tgt_pad)
-            h = pool(src.hidden_states[tcfg.align_layer], pair_batch.src_pad, "mean", layer=1)
-            hp = pool(tgt.hidden_states[tcfg.align_layer], pair_batch.tgt_pad, "mean", layer=1)
+            h = embed(params, pair_batch.src_tokens, pair_batch.src_pad, tcfg.align_layer, tcfg.pooling)
+            hp = embed(params, pair_batch.tgt_tokens, pair_batch.tgt_pad, tcfg.align_layer, tcfg.pooling)
             return mcl_loss(h, hp, tcfg.tau)
 
         def cif_fn():

@@ -50,6 +50,12 @@ def cif_loss(params: ModelParams, batch: TokenBatch) -> tuple[Tensor, int]:
     return sequence_nll(params, batch.tokens, batch.loss_mask, batch.pad_mask)
 
 
+def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, pooling: str) -> PooledBatch:
+    """Pooled hidden_states[layer] of a forward that stops after block `layer`."""
+    res = forward(params, tokens, pad, upto_layer=layer)
+    return pool(res.hidden_states[layer], pad, pooling, layer=layer)
+
+
 def afp_loss(
     params: ModelParams,
     mcl_batch: PairBatch,
@@ -58,18 +64,16 @@ def afp_loss(
 ) -> tuple[Tensor, dict]:
     """Combined loss L_MCL + alpha * L_CIF.
 
-    Anchors/positives are pooled from hidden_states[config.align_layer] of
-    separate forwards over the source and target sides of the pair batch.
-    Returns (total, components) with float components for logging.
+    Anchors/positives are embedded at config.align_layer from the source and
+    target sides of the pair batch. At alpha = 0 the loss is L_MCL alone and
+    the CIF forward is skipped. Returns (total, components) with float
+    components for logging; "cif" is present only when CIF was computed.
     """
-    layer = config.align_layer
-    if not 0 <= layer <= params.config.n_layers:
-        raise UsageError(f"align_layer {layer} outside [0, {params.config.n_layers}]")
-    src = forward(params, mcl_batch.src_tokens, mcl_batch.src_pad)
-    tgt = forward(params, mcl_batch.tgt_tokens, mcl_batch.tgt_pad)
-    h = pool(src.hidden_states[layer], mcl_batch.src_pad, config.pooling, layer=layer)
-    h_plus = pool(tgt.hidden_states[layer], mcl_batch.tgt_pad, config.pooling, layer=layer)
+    h = embed(params, mcl_batch.src_tokens, mcl_batch.src_pad, config.align_layer, config.pooling)
+    h_plus = embed(params, mcl_batch.tgt_tokens, mcl_batch.tgt_pad, config.align_layer, config.pooling)
     mcl = mcl_loss(h, h_plus, config.tau, symmetric=config.symmetric_mcl)
+    if config.alpha == 0:
+        return mcl, {"mcl": mcl.item()}
     cif, _ = cif_loss(params, cif_batch)
     total = T.add(mcl, T.scale(cif, config.alpha))
     return total, {"mcl": mcl.item(), "cif": cif.item()}

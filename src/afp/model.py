@@ -141,7 +141,7 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
 @dataclass
 class ForwardResult:
     hidden_states: list  # [batch, seq, d_model] per layer; index 0 = embeddings
-    logits: Tensor  # [batch, seq, vocab]
+    logits: Tensor | None  # [batch, seq, vocab]; None when stopped early
 
 
 def _attention_bias(pad_mask: np.ndarray, n_heads: int, dtype) -> np.ndarray:
@@ -153,9 +153,16 @@ def _attention_bias(pad_mask: np.ndarray, n_heads: int, dtype) -> np.ndarray:
     return np.repeat(bias, n_heads, axis=0)
 
 
-def forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None = None) -> ForwardResult:
-    """Causal forward pass over a [batch, seq] token matrix."""
+def forward(
+    params: ModelParams,
+    tokens: np.ndarray,
+    pad_mask: np.ndarray | None = None,
+    upto_layer: int | None = None,
+) -> ForwardResult:
+    """Causal forward pass over a [batch, seq] token matrix; upto_layer=L stops after block L, with no logits."""
     cfg = params.config
+    if upto_layer is not None and not 0 <= upto_layer <= cfg.n_layers:
+        raise UsageError(f"layer {upto_layer} outside [0, {cfg.n_layers}]")
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim != 2:
         raise ShapeError(f"forward: tokens must be [batch, seq], got {tokens.shape}")
@@ -178,7 +185,7 @@ def forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None
     hidden = [x]
     attn_bias = Tensor(_attention_bias(pad_mask, h, params.dtype))
 
-    for i in range(cfg.n_layers):
+    for i in range(cfg.n_layers if upto_layer is None else upto_layer):
         p = f"blocks.{i}."
         a = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"], LN_EPS)
         a2 = T.reshape(a, (b * s, d))
@@ -204,6 +211,8 @@ def forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray | None
         x = T.add(x, T.reshape(f, (b, s, d)))
         hidden.append(x)
 
+    if upto_layer is not None:
+        return ForwardResult(hidden_states=hidden, logits=None)
     fin = T.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
     logits = T.reshape(T.matmul(T.reshape(fin, (b * s, d)), params["out_proj"]), (b, s, cfg.vocab_size))
     return ForwardResult(hidden_states=hidden, logits=logits)

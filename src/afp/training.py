@@ -12,10 +12,11 @@ from .checkpoint import save_params
 from .config import RunConfig, TrainConfig
 from .errors import NumericError, TrainingError, UsageError
 from .evaluate import translation_eval
-from .losses import afp_loss, cif_loss, mcl_loss
+from .losses import afp_loss, cif_loss, embed, mcl_loss
+# forward and pool are unused here; the benchmark's span tracer patches them by name.
 from .model import ModelConfig, ModelParams, forward, init_params
 from .optim import OptState, adamw_step, init_opt_state
-from .represent import alignment_metric, pool, retrieval_acc_at_1, uniformity_metric
+from .represent import POOLING_METHODS, alignment_metric, pool, retrieval_acc_at_1, uniformity_metric
 from .rng import stream
 from .tensor import Graph, backward
 
@@ -88,7 +89,10 @@ def generate_corpus(cfg: RunConfig) -> CorpusHandles:
 
 
 def _epoch_batches(dataset, batch_size, seed, epoch):
-    yield from C.batch_iter(dataset, batch_size, seed=int(seed + epoch), pad_token=C.PAD)
+    # a trailing batch of one pair is dropped: MCL needs in-batch negatives
+    for batch in C.batch_iter(dataset, batch_size, seed=int(seed + epoch), pad_token=C.PAD):
+        if not (isinstance(batch, C.PairBatch) and len(batch.langs) == 1):
+            yield batch
 
 
 def _endless(dataset, batch_size, seed):
@@ -100,19 +104,14 @@ def _endless(dataset, batch_size, seed):
 
 def heldout_metrics(params: ModelParams, corpus: CorpusHandles, tcfg: TrainConfig, step: int) -> AlignReport:
     """Alignment diagnostics plus loss values on the held-out sets (no graph)."""
-    layer = tcfg.align_layer
     pair_batch = C.collate_pairs(corpus.heldout_pairs)
-    src = forward(params, pair_batch.src_tokens, pair_batch.src_pad)
-    tgt = forward(params, pair_batch.tgt_tokens, pair_batch.tgt_pad)
-    h = pool(src.hidden_states[layer], pair_batch.src_pad, tcfg.pooling, layer=layer)
-    h_plus = pool(tgt.hidden_states[layer], pair_batch.tgt_pad, tcfg.pooling, layer=layer)
+    h = embed(params, pair_batch.src_tokens, pair_batch.src_pad, tcfg.align_layer, tcfg.pooling)
+    h_plus = embed(params, pair_batch.tgt_tokens, pair_batch.tgt_pad, tcfg.align_layer, tcfg.pooling)
     pairs = list(zip(h.array, h_plus.array))
     points = np.concatenate([h.array, h_plus.array], axis=0)
 
     mcl = mcl_loss(h, h_plus, tcfg.tau, symmetric=tcfg.symmetric_mcl).item()
-    cif_batch = C.collate_cif(corpus.heldout_cif)
-    cif, _ = cif_loss(params, cif_batch)
-    cif = cif.item()
+    cif = cif_loss(params, C.collate_cif(corpus.heldout_cif))[0].item()
     return AlignReport(
         step=step,
         l_align=alignment_metric(pairs),
@@ -140,10 +139,8 @@ def train(
     checkpoint_dir is given. A non-finite loss aborts with the last good
     (eval-point) parameters attached to the error.
     """
-    if train_config.align_layer > model_config.n_layers:
-        raise UsageError(
-            f"align_layer {train_config.align_layer} > n_layers {model_config.n_layers}"
-        )
+    if min(train_config.mcl_batch, len(corpus.train_pairs)) < 2:
+        raise UsageError("MCL needs pair batches of at least 2 pairs for in-batch negatives")
     params = init_params(model_config, seed)
     opt = init_opt_state(params)
     mcl_stream = _endless(corpus.train_pairs, train_config.mcl_batch, seed + 101)
@@ -159,21 +156,12 @@ def train(
     last_good = params.copy()
     last_good_step = 0
 
-    mcl_only = train_config.alpha == 0.0
     for step in range(1, train_config.steps + 1):
         pair_batch = next(mcl_stream)
         cif_batch = next(cif_stream)
         try:
             with Graph() as g:
-                if mcl_only:
-                    layer = train_config.align_layer
-                    src = forward(params, pair_batch.src_tokens, pair_batch.src_pad)
-                    tgt = forward(params, pair_batch.tgt_tokens, pair_batch.tgt_pad)
-                    h = pool(src.hidden_states[layer], pair_batch.src_pad, train_config.pooling, layer=layer)
-                    hp = pool(tgt.hidden_states[layer], pair_batch.tgt_pad, train_config.pooling, layer=layer)
-                    loss = mcl_loss(h, hp, train_config.tau, symmetric=train_config.symmetric_mcl)
-                else:
-                    loss, _ = afp_loss(params, pair_batch, cif_batch, train_config)
+                loss, _ = afp_loss(params, pair_batch, cif_batch, train_config)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericError(f"non-finite loss {value}")
@@ -215,9 +203,9 @@ def train(
 SWEEP_GRIDS = {
     "layer": None,  # filled per model: all layers 0..n_layers
     "p_src": (0.0, 0.25, 0.5, 0.75, 1.0),
-    "pooling": ("mean", "max", "last_token"),
+    "pooling": POOLING_METHODS,
     "alpha": (1.0, 1.5, 2.0),
-    "policy": ("pivot", "pairwise"),
+    "policy": C.POLICIES,
 }
 
 

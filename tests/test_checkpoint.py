@@ -68,6 +68,13 @@ class TestCorruption:
         with pytest.raises(CheckpointError):
             load_params(path, other)
 
+    def test_same_names_wrong_shapes(self, tmp_path):
+        path = tmp_path / "s.afpt"
+        save_params(path, init_params(CFG, seed=6))
+        wider = ModelConfig(vocab_size=13, d_model=8, n_layers=2, n_heads=2, d_ff=16, max_seq_len=6)
+        with pytest.raises(CheckpointError, match="mlp.w1: shape"):
+            load_params(path, wider)
+
     def test_magic_is_afpt(self, tmp_path):
         params = init_params(CFG, seed=7)
         path = tmp_path / "m.afpt"

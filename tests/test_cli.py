@@ -186,6 +186,12 @@ class TestEval:
         notafpt.write_bytes(b"JUNKJUNKJUNK")
         assert run_cli(["metrics", "--checkpoint", str(notafpt), "--config", cfg]) == 5
 
+    def test_wrong_shape_checkpoint_exit_5(self, trained, capsys):
+        _, cfg, ckpt = trained
+        # same layer count, so the names match; a wider MLP changes the shapes
+        assert run_cli(["metrics", "--checkpoint", str(ckpt), "--config", cfg, "--set", "model.d_ff=32"]) == 5
+        assert "corrupt artifact" in capsys.readouterr().err
+
 
 class TestExportEmbeddings:
     def test_records_and_centering_and_consistency(self, trained, capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from afp import corpus as C
+from afp import losses
 from afp.config import TrainConfig
 from afp.errors import UsageError
 from afp.gradcheck import grad_error
-from afp.losses import afp_loss, cif_loss, mcl_loss
+from afp.losses import afp_loss, cif_loss, embed, mcl_loss
 from afp.model import ModelConfig, forward, init_params, sequence_nll
-from afp.represent import PooledBatch
+from afp.represent import POOLING_METHODS, PooledBatch, pool
 from afp.rng import stream
 from afp.tensor import Graph, Tensor, backward
 
@@ -163,6 +164,21 @@ class TestCifLoss:
         assert abs(loss.item() - total / n) < 1e-10
 
 
+class TestEmbed:
+    @pytest.mark.parametrize("method", POOLING_METHODS)
+    def test_equals_pool_of_full_forward_bit_for_bit(self, tiny, method):
+        family, mcfg, params = tiny
+        pairs = C.make_translation_pairs(family, "pairwise", 6, stream(15, "embed-pairs"))
+        batch = C.collate_pairs(pairs)
+        assert not batch.src_pad.all()  # ragged rows exercise the pad mask
+        full = forward(params, batch.src_tokens, batch.src_pad)
+        for layer in range(mcfg.n_layers + 1):
+            got = embed(params, batch.src_tokens, batch.src_pad, layer, method)
+            want = pool(full.hidden_states[layer], batch.src_pad, method, layer=layer)
+            assert (got.method, got.layer) == (method, layer)
+            assert np.array_equal(got.array, want.array)
+
+
 class TestAfpLoss:
     def make_batches(self, family, seed):
         pairs = C.make_translation_pairs(family, "pairwise", 4, stream(seed, "afp-pairs"))
@@ -170,12 +186,18 @@ class TestAfpLoss:
         cifs = [C.make_cif_sample(family, "copy", "A", 0.5, rng) for _ in range(4)]
         return C.collate_pairs(pairs[:4]), C.collate_cif(cifs)
 
-    def test_alpha_zero_equals_mcl_exactly(self, tiny):
+    def test_alpha_zero_equals_mcl_exactly(self, tiny, monkeypatch):
         family, _, params = tiny
         pair_batch, cif_batch = self.make_batches(family, 12)
+
+        def no_cif(*args):
+            raise AssertionError("cif_loss called at alpha = 0")
+
+        monkeypatch.setattr(losses, "cif_loss", no_cif)
         cfg = TrainConfig(alpha=0.0, tau=0.05, align_layer=1)
         total, comps = afp_loss(params, pair_batch, cif_batch, cfg)
         assert total.item() == comps["mcl"]
+        assert list(comps) == ["mcl"]
 
     def test_weighted_arithmetic(self):
         assert 0.4 + 1.5 * 0.2 == pytest.approx(0.7)

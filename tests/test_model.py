@@ -89,6 +89,22 @@ class TestForward:
             np.testing.assert_array_equal(out[:, :t], base[:, :t])
             assert not np.array_equal(out[:, t:], base[:, t:])
 
+    def test_early_stop_returns_layers_up_to_l_and_no_logits(self):
+        params = init_params(CFG, seed=4)
+        tokens = rand_tokens(stream(4, "stop"), 2, 5)
+        full = forward(params, tokens)
+        for layer in range(CFG.n_layers + 1):
+            res = forward(params, tokens, upto_layer=layer)
+            assert res.logits is None
+            assert len(res.hidden_states) == layer + 1
+            np.testing.assert_array_equal(res.hidden_states[layer].data, full.hidden_states[layer].data)
+
+    @pytest.mark.parametrize("layer", [-1, CFG.n_layers + 1])
+    def test_early_stop_layer_out_of_range(self, layer):
+        params = init_params(CFG, seed=4)
+        with pytest.raises(UsageError):
+            forward(params, np.array([[1, 2]]), upto_layer=layer)
+
     def test_hidden0_equals_embedding_sum(self):
         params = init_params(CFG, seed=2)
         tokens = rand_tokens(stream(2, "emb"), 3, 5)

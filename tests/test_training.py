@@ -11,7 +11,15 @@ from afp.losses import cif_loss
 from afp.model import ModelConfig, init_params
 from afp.optim import adamw_step, init_opt_state
 from afp.tensor import Graph, backward
-from afp.training import AlignReport, ablation_sweep, generate_corpus, heldout_metrics, train, write_reports
+from afp.training import (
+    AlignReport,
+    _epoch_batches,
+    ablation_sweep,
+    generate_corpus,
+    heldout_metrics,
+    train,
+    write_reports,
+)
 
 TINY_MODEL = ModelConfig(vocab_size=33, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=32)
 
@@ -96,6 +104,32 @@ class TestTrain:
         cfg = tiny_run_config(align_layer=5)
         with pytest.raises(UsageError):
             train(cfg.model, cfg.train, tiny_corpus, seed=0)
+
+    def test_trailing_single_pair_batch_is_dropped(self, tiny_corpus):
+        # 9 pairs in batches of 4 leave one pair over at the end of each epoch
+        corpus = dataclasses.replace(tiny_corpus, train_pairs=tiny_corpus.train_pairs[:9])
+        cfg = tiny_run_config(steps=6, eval_every=3)
+        tcfg = dataclasses.replace(cfg.train, mcl_batch=4)
+        result = train(cfg.model, tcfg, corpus, seed=cfg.seed)
+        assert [r.step for r in result.reports] == [0, 3, 6]
+        sizes = [len(b.langs) for b in _epoch_batches(corpus.train_pairs, 4, seed=1, epoch=0)]
+        assert sizes == [4, 4]
+
+    def test_batch_stream_unchanged_when_batch_size_divides(self, tiny_corpus):
+        pairs = tiny_corpus.train_pairs[:8]
+        ours = list(_epoch_batches(pairs, 4, seed=1, epoch=2))
+        plain = list(C.batch_iter(pairs, 4, seed=3, pad_token=C.PAD))
+        assert len(ours) == len(plain) == 2
+        for a, b in zip(ours, plain):
+            assert np.array_equal(a.src_tokens, b.src_tokens) and np.array_equal(a.tgt_tokens, b.tgt_tokens)
+
+    @pytest.mark.parametrize("n_pairs, mcl_batch", [(9, 1), (1, 8)])
+    def test_pair_batches_below_two_rejected(self, tiny_corpus, n_pairs, mcl_batch):
+        corpus = dataclasses.replace(tiny_corpus, train_pairs=tiny_corpus.train_pairs[:n_pairs])
+        cfg = tiny_run_config(steps=2)
+        tcfg = dataclasses.replace(cfg.train, mcl_batch=mcl_batch)
+        with pytest.raises(UsageError, match="at least 2 pairs"):
+            train(cfg.model, tcfg, corpus, seed=cfg.seed)
 
     def test_mcl_only_mode_runs(self, tiny_corpus):
         cfg = tiny_run_config(steps=4, eval_every=2, alpha=0.0)
