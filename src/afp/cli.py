@@ -23,11 +23,12 @@ from .gradcheck import REL_TOL, loss_gradcheck
 from .losses import embed
 from .represent import POOLING_METHODS, pca2, retrieval_acc_at_1
 from .training import (
-    SWEEP_GRIDS,
+    SWEEP_KINDS,
     CorpusHandles,
     ablation_sweep,
     generate_corpus,
     heldout_metrics,
+    sweep_value,
     train,
     write_reports,
 )
@@ -206,15 +207,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
-    grid = None
-    if args.grid:
-        raw = args.grid.split(",")
-        if args.kind in ("pooling", "policy"):
-            grid = tuple(raw)
-        elif args.kind == "layer":
-            grid = tuple(int(v) for v in raw)
-        else:
-            grid = tuple(float(v) for v in raw)
+    grid = tuple(sweep_value(args.kind, v) for v in args.grid.split(",")) if args.grid else None
     rows = ablation_sweep(args.kind, grid, cfg, log=print if args.verbose else None)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -284,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = add_parser("sweep", help="run an ablation sweep and write a CSV")
-    p.add_argument("--kind", required=True, choices=tuple(SWEEP_GRIDS))
+    p.add_argument("--kind", required=True, choices=tuple(SWEEP_KINDS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grid", help="comma-separated grid values (defaults per kind)")

@@ -39,11 +39,3 @@ class TrainingError(AfpError):
 
 class CheckpointError(AfpError):
     """A checkpoint file is corrupt or unreadable."""
-
-
-class ConvergenceError(AfpError):
-    """An iterative solver did not reach tolerance."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual

@@ -11,13 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ConvergenceError, DataError, NumericError, ShapeError, UsageError
+from .errors import DataError, NumericError, ShapeError, UsageError
 from .tensor import Tensor, apply_op
 
 POOLING_METHODS = ("mean", "max", "last_token")
-
-PCA_TOL = 1e-9
-PCA_MAX_ITER = 10_000
 
 
 @dataclass
@@ -113,8 +110,9 @@ def alignment_metric(pairs) -> float:
     """Mean squared distance between normalized positive-pair vectors; >= 0."""
     if len(pairs) == 0:
         raise UsageError("alignment_metric: no pairs")
-    a = _unit_rows(np.asarray([p[0] for p in pairs], dtype=np.float64), "alignment_metric")
-    b = _unit_rows(np.asarray([p[1] for p in pairs], dtype=np.float64), "alignment_metric")
+    ab = np.asarray(pairs, dtype=np.float64)  # [n, 2, d]
+    a = _unit_rows(ab[:, 0], "alignment_metric")
+    b = _unit_rows(ab[:, 1], "alignment_metric")
     return float(((a - b) ** 2).sum(axis=1).mean())
 
 
@@ -125,65 +123,28 @@ def uniformity_metric(points) -> float:
     if n < 2:
         raise UsageError("uniformity_metric: need at least 2 points")
     pts = _unit_rows(pts, "uniformity_metric")
-    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    # |x - y|^2 = 2 - 2 x.y on unit rows; rounding can push a near-duplicate's
+    # dot product past 1, so clamp to keep the metric <= 0.
+    sq = np.maximum(2.0 - 2.0 * pts @ pts.T, 0.0)
     vals = -2.0 * sq[~np.eye(n, dtype=bool)]
     m = vals.max()
     return float(m + np.log(np.exp(vals - m).mean()))
 
 
-def _power_iteration(c: np.ndarray, ortho: np.ndarray | None, rng) -> tuple[np.ndarray, float]:
-    """Dominant eigenvector of PSD matrix c, kept orthogonal to `ortho`."""
-    d = c.shape[0]
-    v = rng.standard_normal(d)
-    if ortho is not None:
-        v -= (v @ ortho) * ortho
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(d) / np.sqrt(d)
-    else:
-        v /= nv
-    for _ in range(PCA_MAX_ITER):
-        w = c @ v
-        if ortho is not None:
-            w -= (w @ ortho) * ortho
-        nw = np.linalg.norm(w)
-        if nw < 1e-30:
-            # zero eigenvalue: any unit vector orthogonal to `ortho` works
-            basis = np.eye(d)
-            for col in basis:
-                cand = col - ((col @ ortho) * ortho if ortho is not None else 0.0)
-                if np.linalg.norm(cand) > 1e-12:
-                    return cand / np.linalg.norm(cand), 0.0
-            raise ConvergenceError("power iteration: no orthogonal direction", residual=0.0)
-        w /= nw
-        delta = np.linalg.norm(w - v)
-        v = w
-        if delta <= PCA_TOL:
-            lam = float(v @ c @ v)
-            return v, lam
-    residual = float(np.linalg.norm(c @ v - (v @ c @ v) * v))
-    raise ConvergenceError(
-        f"power iteration: residual {residual:.3e} after {PCA_MAX_ITER} iterations",
-        residual=residual,
-    )
-
-
 def pca2(vectors) -> np.ndarray:
-    """Project [n, d] data onto its top-2 principal axes via power iteration
-    with deflation. Sign convention: each axis has a positive first
-    non-negligible coordinate."""
+    """Project [n, d] data onto its top-2 principal axes, the eigenvectors of
+    the scatter matrix with the two largest eigenvalues. Sign convention:
+    each axis has a positive first non-negligible coordinate."""
     x = np.asarray(vectors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 3:
-        raise UsageError(f"pca2: need [n >= 3, d] data, got {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 3 or x.shape[1] < 2:
+        raise UsageError(f"pca2: need [n >= 3, d >= 2] data, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise NumericError("pca2: non-finite input")
     xc = x - x.mean(axis=0)
-    c = xc.T @ xc
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(0)))
-    v1, lam1 = _power_iteration(c, None, rng)
-    c2 = c - lam1 * np.outer(v1, v1)
-    v2, _ = _power_iteration(c2, v1, rng)
+    _, vecs = np.linalg.eigh(xc.T @ xc)  # eigenvalues ascending
 
     axes = []
-    for v in (v1, v2):
+    for v in (vecs[:, -1], vecs[:, -2]):
         scale = np.abs(v).max()
         nz = np.nonzero(np.abs(v) > 1e-9 * max(scale, 1e-30))[0]
         if nz.size and v[nz[0]] < 0:

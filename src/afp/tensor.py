@@ -33,10 +33,6 @@ def set_checked(flag: bool) -> None:
     _checked = bool(flag)
 
 
-def checked_enabled() -> bool:
-    return _checked
-
-
 class Tensor:
     """N-dimensional float array, optionally tracked for gradients.
 

@@ -104,6 +104,8 @@ def _endless(dataset, batch_size, seed):
 
 def heldout_metrics(params: ModelParams, corpus: CorpusHandles, tcfg: TrainConfig, step: int) -> AlignReport:
     """Alignment diagnostics plus loss values on the held-out sets (no graph)."""
+    if len(corpus.heldout_pairs) < 2 or not corpus.heldout_cif:
+        raise UsageError("held-out metrics need at least 2 held-out pairs and one held-out CIF sample")
     pair_batch = C.collate_pairs(corpus.heldout_pairs)
     h = embed(params, pair_batch.src_tokens, pair_batch.src_pad, tcfg.align_layer, tcfg.pooling)
     h_plus = embed(params, pair_batch.tgt_tokens, pair_batch.tgt_pad, tcfg.align_layer, tcfg.pooling)
@@ -141,6 +143,8 @@ def train(
     """
     if min(train_config.mcl_batch, len(corpus.train_pairs)) < 2:
         raise UsageError("MCL needs pair batches of at least 2 pairs for in-batch negatives")
+    if not corpus.train_cif:
+        raise UsageError("training needs at least one CIF sample")
     params = init_params(model_config, seed)
     opt = init_opt_state(params)
     mcl_stream = _endless(corpus.train_pairs, train_config.mcl_batch, seed + 101)
@@ -200,40 +204,41 @@ def train(
     return TrainResult(params=params, opt_state=opt, reports=reports)
 
 
-SWEEP_GRIDS = {
-    "layer": None,  # filled per model: all layers 0..n_layers
-    "p_src": (0.0, 0.25, 0.5, 0.75, 1.0),
-    "pooling": POOLING_METHODS,
-    "alpha": (1.0, 1.5, 2.0),
-    "policy": C.POLICIES,
+# kind -> (config section, field, value type, default grid); the layer grid
+# depends on the model, so default_grid builds it
+SWEEP_KINDS = {
+    "layer": ("train", "align_layer", int, None),
+    "p_src": ("train", "p_src", float, (0.0, 0.25, 0.5, 0.75, 1.0)),
+    "pooling": ("train", "pooling", str, POOLING_METHODS),
+    "alpha": ("train", "alpha", float, (1.0, 1.5, 2.0)),
+    "policy": ("corpus", "policy", str, C.POLICIES),
 }
 
 
-def default_grid(kind: str, model_config: ModelConfig):
-    if kind == "layer":
-        return tuple(range(model_config.n_layers + 1))
+def _sweep_kind(kind: str) -> tuple:
     try:
-        return SWEEP_GRIDS[kind]
+        return SWEEP_KINDS[kind]
     except KeyError:
         raise UsageError(f"unknown sweep kind {kind!r}") from None
 
 
+def default_grid(kind: str, model_config: ModelConfig):
+    grid = _sweep_kind(kind)[3]
+    return tuple(range(model_config.n_layers + 1)) if grid is None else grid
+
+
+def sweep_value(kind: str, value):
+    """Cast one grid value to the type of the config field that `kind` sets."""
+    try:
+        return _sweep_kind(kind)[2](value)
+    except (TypeError, ValueError):
+        raise UsageError(f"bad {kind} sweep value {value!r}") from None
+
+
 def _with_value(cfg: RunConfig, kind: str, value) -> RunConfig:
-    train = cfg.train
-    corpus_cfg = cfg.corpus
-    if kind == "layer":
-        train = dataclasses.replace(train, align_layer=int(value))
-    elif kind == "p_src":
-        train = dataclasses.replace(train, p_src=float(value))
-    elif kind == "pooling":
-        train = dataclasses.replace(train, pooling=str(value))
-    elif kind == "alpha":
-        train = dataclasses.replace(train, alpha=float(value))
-    elif kind == "policy":
-        corpus_cfg = dataclasses.replace(corpus_cfg, policy=str(value))
-    else:
-        raise UsageError(f"unknown sweep kind {kind!r}")
-    return dataclasses.replace(cfg, train=train, corpus=corpus_cfg)
+    section, field = _sweep_kind(kind)[:2]
+    part = dataclasses.replace(getattr(cfg, section), **{field: sweep_value(kind, value)})
+    return dataclasses.replace(cfg, **{section: part})
 
 
 def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[dict]:

@@ -114,6 +114,12 @@ class TestTrain:
         lines = (tmp / "run" / "reports.jsonl").read_text().strip().split("\n")
         assert len(lines) == 4 // 2 + 1
 
+    @pytest.mark.parametrize("override", ["corpus.n_cif=0", "corpus.n_heldout_cif=0", "corpus.n_heldout_pairs=1"])
+    def test_too_small_corpus_exit_2(self, ws, override):
+        _, cfg = ws
+        assert run_cli(["gen-corpus", "--config", cfg, "--set", override]) == 0
+        assert run_cli(["train", "--config", cfg, "--set", override, "--set", "train.steps=0"]) == 2
+
     def test_nan_abort_exit_4_retains_last_good(self, ws):
         tmp, cfg = ws
         run_cli(["gen-corpus", "--config", cfg])
@@ -227,6 +233,17 @@ class TestExportEmbeddings:
              "--corpus", str(tmp / "corpus" / "heldout.jsonl"), "--layer", "9", "--out", str(tmp / "x.jsonl")]
         ) == 2
 
+    def test_one_dimensional_model_exit_2(self, trained, capsys):
+        tmp, cfg, _ = trained
+        ckpt = tmp / "narrow.afpt"
+        save_params(ckpt, init_params(load_config(cfg, overrides=["model.d_model=1", "model.n_heads=1"]).model, 0))
+        assert run_cli(
+            ["export-embeddings", "--checkpoint", str(ckpt), "--config", cfg,
+             "--set", "model.d_model=1", "--set", "model.n_heads=1",
+             "--corpus", str(tmp / "corpus" / "heldout.jsonl"), "--out", str(tmp / "x.jsonl")]
+        ) == 2
+        assert "pca2" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_and_reports_per_loss(self, capsys):
@@ -264,6 +281,11 @@ class TestSweepCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3  # header + 2 rows
         assert lines[0].startswith("kind,value")
+
+    @pytest.mark.parametrize("kind, grid", [("alpha", "x"), ("layer", "1.5")])
+    def test_bad_grid_exit_2(self, ws, kind, grid):
+        tmp, cfg = ws
+        assert run_cli(["sweep", "--kind", kind, "--config", cfg, "--out", str(tmp / "s.csv"), "--grid", grid]) == 2
 
     def test_sweep_rows_deterministic(self, ws):
         tmp, cfg = ws

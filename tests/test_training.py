@@ -131,6 +131,21 @@ class TestTrain:
         with pytest.raises(UsageError, match="at least 2 pairs"):
             train(cfg.model, tcfg, corpus, seed=cfg.seed)
 
+    def test_empty_cif_set_rejected_up_front(self, tiny_corpus):
+        # steps=0: the check must come before the first step draws a CIF batch
+        corpus = dataclasses.replace(tiny_corpus, train_cif=[])
+        cfg = tiny_run_config(steps=0)
+        with pytest.raises(UsageError, match="CIF sample"):
+            train(cfg.model, cfg.train, corpus, seed=cfg.seed)
+
+    @pytest.mark.parametrize("field, keep", [("heldout_pairs", 1), ("heldout_cif", 0)])
+    def test_heldout_metrics_reject_too_small_sets(self, tiny_corpus, field, keep):
+        corpus = dataclasses.replace(tiny_corpus, **{field: getattr(tiny_corpus, field)[:keep]})
+        cfg = tiny_run_config()
+        params = init_params(cfg.model, 0)
+        with pytest.raises(UsageError, match="held-out"):
+            heldout_metrics(params, corpus, cfg.train, step=0)
+
     def test_mcl_only_mode_runs(self, tiny_corpus):
         cfg = tiny_run_config(steps=4, eval_every=2, alpha=0.0)
         result = train(cfg.model, cfg.train, tiny_corpus, seed=cfg.seed)
@@ -209,3 +224,7 @@ class TestAblationSweep:
     def test_unknown_kind_rejected(self):
         with pytest.raises(UsageError):
             ablation_sweep("dropout", (0.1,), sweep_base())
+
+    def test_bad_grid_value_rejected(self):
+        with pytest.raises(UsageError, match="alpha"):
+            ablation_sweep("alpha", ("x",), sweep_base())
