@@ -62,25 +62,47 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _load_corpus_dir(corpus_dir: str) -> CorpusHandles:
+def _in_vocab(parser, vocab_size: int):
+    """parser, then a check that every token id of the record is in [0, vocab_size)."""
+
+    def parse(obj):
+        rec = parser(obj)
+        ids = rec.input_tokens if isinstance(rec, C.CifSample) else rec.src_tokens + rec.tgt_tokens
+        bad = [t for t in ids if not 0 <= t < vocab_size]
+        if bad:
+            raise ConfigError(f"token id {bad[0]} outside the model's vocabulary [0, {vocab_size})")
+        return rec
+
+    return parse
+
+
+def _load_corpus_dir(corpus_dir: str, vocab_size: int) -> CorpusHandles:
     for name in CORPUS_FILES:
         if not os.path.exists(os.path.join(corpus_dir, name)):
             raise UsageError(f"missing corpus file {name!r} in {corpus_dir!r}; run gen-corpus first")
-    with open(os.path.join(corpus_dir, "family.json"), "r", encoding="utf-8") as fh:
-        family = C.TwinLanguageFamily.from_json(json.load(fh))
+    path = os.path.join(corpus_dir, "family.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            family = C.TwinLanguageFamily.from_json(json.load(fh))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise CheckpointError(f"{path}: {exc}") from None
+
+    def load(name, parser):
+        return C.load_jsonl(os.path.join(corpus_dir, name), _in_vocab(parser, vocab_size))
+
     return CorpusHandles(
         family=family,
-        train_pairs=C.load_jsonl(os.path.join(corpus_dir, "pairs.jsonl"), C.TranslationPair.from_json),
-        train_cif=C.load_jsonl(os.path.join(corpus_dir, "cif.jsonl"), C.CifSample.from_json),
-        heldout_pairs=C.load_jsonl(os.path.join(corpus_dir, "heldout.jsonl"), C.TranslationPair.from_json),
-        heldout_cif=C.load_jsonl(os.path.join(corpus_dir, "heldout_cif.jsonl"), C.CifSample.from_json),
+        train_pairs=load("pairs.jsonl", C.TranslationPair.from_json),
+        train_cif=load("cif.jsonl", C.CifSample.from_json),
+        heldout_pairs=load("heldout.jsonl", C.TranslationPair.from_json),
+        heldout_cif=load("heldout_cif.jsonl", C.CifSample.from_json),
     )
 
 
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     corpus_dir = args.corpus_dir or cfg.paths.corpus_dir
-    handles = _load_corpus_dir(corpus_dir)
+    handles = _load_corpus_dir(corpus_dir, cfg.model.vocab_size)
     run_dir = args.out or cfg.paths.run_dir
     os.makedirs(run_dir, exist_ok=True)
     try:
@@ -120,7 +142,7 @@ def cmd_eval(args) -> int:
         return 2
     config_digest = hashlib.sha256(dumps_config(cfg).encode("utf-8")).hexdigest()
     params = load_params(args.checkpoint, cfg.model)
-    handles = _load_corpus_dir(args.corpus_dir or cfg.paths.corpus_dir)
+    handles = _load_corpus_dir(args.corpus_dir or cfg.paths.corpus_dir, cfg.model.vocab_size)
     ev = cfg.eval
 
     if args.task == "metrics":
@@ -173,7 +195,7 @@ def cmd_export_embeddings(args) -> int:
     params = load_params(args.checkpoint, cfg.model)
     layer = args.layer if args.layer is not None else cfg.train.align_layer
     pooling = args.pooling or cfg.train.pooling
-    pairs = C.load_jsonl(args.corpus, C.TranslationPair.from_json)
+    pairs = C.load_jsonl(args.corpus, _in_vocab(C.TranslationPair.from_json, cfg.model.vocab_size))
     if not pairs:
         raise UsageError(f"no pair records in {args.corpus!r}")
     sentences = [(p.src_lang, p.src_tokens) for p in pairs] + [(p.tgt_lang, p.tgt_tokens) for p in pairs]

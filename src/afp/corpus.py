@@ -10,14 +10,16 @@ Token id layout: shared specials first, then one language-tag token per
 language, then one block of concept tokens per language.
 """
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import ConfigError, DataError, UsageError
+from .errors import AfpError, CheckpointError, ConfigError, DataError, UsageError
 from .rng import stream
 
 PAD, BOS, SEP = 0, 1, 2
@@ -36,6 +38,23 @@ def _apply_order(transform: str, seq: list[int]) -> list[int]:
     if transform == "reverse":
         return list(reversed(seq))
     raise ConfigError(f"unknown order transform {transform!r}")
+
+
+def _record_parser(build):
+    """from_json classmethod whose malformed input raises CheckpointError (exit 5)."""
+
+    @functools.wraps(build)
+    def parse(cls, obj):
+        try:
+            return build(cls, obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed {cls.__name__} record: {type(exc).__name__}: {exc}") from None
+
+    return classmethod(parse)
+
+
+def _token_ids(seq) -> list[int]:
+    return [operator.index(t) for t in seq]
 
 
 @dataclass
@@ -164,7 +183,7 @@ class TwinLanguageFamily:
             "transition": self.transition.tolist(),
         }
 
-    @classmethod
+    @_record_parser
     def from_json(cls, obj: dict) -> "TwinLanguageFamily":
         langs = [
             LanguageSpec(name=d["name"], base=d["base"], perm=np.asarray(d["perm"]), transform=d["transform"])
@@ -251,13 +270,13 @@ class TranslationPair:
             "tgt": {"lang": self.tgt_lang, "tokens": self.tgt_tokens},
         }
 
-    @classmethod
+    @_record_parser
     def from_json(cls, obj: dict) -> "TranslationPair":
         return cls(
             src_lang=obj["src"]["lang"],
             tgt_lang=obj["tgt"]["lang"],
-            src_tokens=list(obj["src"]["tokens"]),
-            tgt_tokens=list(obj["tgt"]["tokens"]),
+            src_tokens=_token_ids(obj["src"]["tokens"]),
+            tgt_tokens=_token_ids(obj["tgt"]["tokens"]),
         )
 
 
@@ -324,14 +343,17 @@ class CifSample:
             "loss_mask": self.loss_mask,
         }
 
-    @classmethod
+    @_record_parser
     def from_json(cls, obj: dict) -> "CifSample":
-        return cls(
+        sample = cls(
             source_lang=obj["source_lang"],
             target_lang=obj["target_lang"],
-            input_tokens=list(obj["input_tokens"]),
+            input_tokens=_token_ids(obj["input_tokens"]),
             loss_mask=[bool(m) for m in obj["loss_mask"]],
         )
+        if len(sample.loss_mask) != len(sample.input_tokens):
+            raise ValueError(f"{len(sample.input_tokens)} input tokens but {len(sample.loss_mask)} loss-mask entries")
+        return sample
 
 
 def cif_prompt(family: TwinLanguageFamily, task: str, context, tgt_lang: str) -> list[int]:
@@ -462,5 +484,20 @@ def save_jsonl(path, records) -> int:
 
 
 def load_jsonl(path, parser):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [parser(json.loads(line)) for line in fh if line.strip()]
+    """Parse each non-blank line of a UTF-8 JSONL file.
+
+    An error names the file and line: malformed JSON raises CheckpointError,
+    and a package error from parser keeps its type.
+    """
+    records = []
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parser(json.loads(line.decode("utf-8"))))
+            except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError
+                raise CheckpointError(f"{path} line {lineno}: {exc}") from None
+            except AfpError as exc:
+                raise type(exc)(f"{path} line {lineno}: {exc}") from None
+    return records

@@ -38,4 +38,4 @@ class TrainingError(AfpError):
 
 
 class CheckpointError(AfpError):
-    """A checkpoint file is corrupt or unreadable."""
+    """A checkpoint or corpus file is corrupt or unreadable."""

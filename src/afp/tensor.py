@@ -4,11 +4,16 @@ Tensors hold flat row-major float32/float64 buffers (numpy arrays). Ops run
 eagerly; when a Graph is active and an input requires gradients, the op is
 recorded on the tape. backward() replays the tape in reverse, which fixes a
 single deterministic accumulation order. Broadcasting is deliberately limited
-to trailing-dimension bias adds and row-wise ops.
+to trailing-dimension bias adds and row-wise ops. Large GELU, layer-norm and
+attention ops split their rows across two threads (run_lanes) without
+changing a bit.
 """
 
+import contextvars
 import math
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import erf
@@ -120,6 +125,92 @@ def _active() -> Graph | None:
 def recording() -> bool:
     """True while a Graph is open on this thread."""
     return bool(_stack())
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+# Smallest input of GELU or layer norm, or attention score array, in
+# elements, that runs as _halves on the two lanes. On a 2-core x86 box the
+# lane hand-off costs 30-80 us and a GELU alone broke even at 16k-80k
+# elements; but in a desk training step, splitting its 172k-element GELUs
+# saved nothing end to end, while the held-out diagnostics ran as fast at
+# 2**18 as at 2**16.
+SPLIT_ELEMENTS = 2**18
+
+# Two lanes: the calling thread plus one worker thread, started on first use.
+# numpy ufuncs, scipy's erf and BLAS release the GIL, so the lanes overlap.
+LANES = min(2, _usable_cpus())
+_lane_busy = threading.Lock()
+_lane = None
+
+
+def _forget_lane() -> None:
+    # a forked child inherits neither the worker thread nor a consistent lock
+    global _lane, _lane_busy
+    _lane, _lane_busy = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_lane)
+
+
+def run_lanes(first, second) -> tuple:
+    """Run first() on this thread and second() on the worker lane; return both results.
+
+    While this thread records a Graph, second() records on a tape of its own,
+    whose nodes are appended to this thread's tape after first()'s once both
+    have succeeded, so the tape is the one that first(); second() would have
+    built. The two functions must not depend on each other. An exception on
+    either lane is raised only after both have finished, first()'s in
+    preference. With one usable CPU, on the worker lane itself or while the
+    lane is busy, the two run inline, one after the other.
+    """
+    global _lane
+    if LANES < 2 or not _lane_busy.acquire(blocking=False):
+        return first(), second()
+    try:
+        if _lane is None:
+            _lane = ThreadPoolExecutor(1, thread_name_prefix="afp-lane")
+        g = _active()
+        ctx = contextvars.copy_context()  # numpy's errstate, for one
+        job = _lane.submit(ctx.run, second) if g is None else _lane.submit(ctx.run, _taped, second)
+        try:
+            a = first()
+        except BaseException:
+            job.exception()
+            raise
+        b = job.result()
+    finally:
+        _lane_busy.release()
+    if g is not None:
+        b, nodes = b
+        g.nodes.extend(nodes)
+    return a, b
+
+
+def _taped(fn) -> tuple:
+    with Graph() as g:
+        out = fn()
+    return out, g.nodes
+
+
+def _splits(size: int) -> bool:
+    """Whether an op over `size` elements runs as _halves."""
+    return size >= SPLIT_ELEMENTS and LANES > 1 and not _lane_busy.locked()
+
+
+def _halves(n: int, fill) -> None:
+    """fill(r) for the two halves r of range(n), one on each lane.
+
+    fill writes in place into preallocated outputs, so the worker lane
+    allocates little; output i must depend on input i alone, through the
+    numpy calls of the op's whole-array path, so the halves give its bits.
+    """
+    run_lanes(lambda: fill(slice(0, n // 2)), lambda: fill(slice(n // 2, n)))
 
 
 def apply_op(op: str, out_data: np.ndarray, inputs: tuple, backward) -> Tensor:
@@ -265,8 +356,19 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit: 0.5*x*(1 + erf(x/sqrt(2)))."""
     xd = x.data
-    phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-    out = xd * phi
+    if _splits(xd.size):
+        phi, out = np.empty(xd.shape, xd.dtype), np.empty(xd.shape, xd.dtype)
+        xf, pf, of = xd.reshape(-1), phi.reshape(-1), out.reshape(-1)
+
+        def fill(r):  # elementwise: the expressions below, in place
+            p = np.multiply(xf[r], _INV_SQRT2, out=pf[r])
+            np.multiply(0.5, np.add(1.0, erf(p, out=p), out=p), out=p)
+            np.multiply(xf[r], p, out=of[r])
+
+        _halves(xd.size, fill)
+    else:
+        phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
+        out = xd * phi
 
     def bwd(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
@@ -282,13 +384,27 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm: x {x.shape} with gain {gain.shape}, bias {bias.shape}")
     if eps <= 0:
         raise UsageError("layer_norm: eps must be > 0")
-    # np.add.reduce(...) / d is what np.mean and np.var compute, bit for bit,
-    # without their Python-level overhead; the centred array is built once.
-    centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    out = xhat * gain.data + bias.data
+    if x.data.ndim > 1 and _splits(x.size):
+        inv = np.empty(x.shape[:-1] + (1,), x.dtype)
+        xhat, out = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
+
+        def fill(r):  # row by row: the expressions below, in place
+            xr, c, o = x.data[r], xhat[r], out[r]
+            np.subtract(xr, np.add.reduce(xr, axis=-1, keepdims=True) / d, out=c)
+            var = np.add.reduce(np.multiply(c, c, out=o), axis=-1, keepdims=True) / d
+            np.multiply(c, np.divide(1.0, np.sqrt(var + eps), out=inv[r]), out=c)
+            np.add(np.multiply(c, gain.data, out=o), bias.data, out=o)
+
+        _halves(len(x.data), fill)
+    else:
+        # np.add.reduce(...) / d is what np.mean and np.var compute, bit for
+        # bit, without their Python-level overhead; the centred array is
+        # built once.
+        centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+        var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = centred * inv
+        out = xhat * gain.data + bias.data
     axes = tuple(range(x.data.ndim - 1))
 
     def bwd(g):
@@ -339,13 +455,33 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
     q3 = q.data.reshape(b, s, h, dh).transpose(0, 2, 1, 3).reshape(b * h, s, dh)
     kt3 = k.data.reshape(b, sk, h, dh).transpose(0, 2, 3, 1).reshape(b * h, dh, sk)
     v3 = v.data.reshape(b, sk, h, dh).transpose(0, 2, 1, 3).reshape(b * h, sk, dh)
-    scores = ((q3 @ kt3) * np.asarray(c, dtype=q.dtype)).reshape(b, h, s, sk) + bias
-    if np.isnan(scores).any():
-        raise NumericError("attention: NaN in scores")
-    scores = scores.reshape(b * h, s, sk)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
-    out = (w @ v3).reshape(b, h, s, dh).transpose(0, 2, 1, 3).reshape(b * s, d)
+    if _splits(b * h * s * sk):
+        w, ctx = np.empty((b * h, s, sk), q.dtype), np.empty((b * h, s, dh), q.dtype)
+
+        def heads(a, r):  # the (row, head) matrices of batch rows r
+            return a.reshape(b, h, *a.shape[1:])[r].reshape(-1, *a.shape[1:])
+
+        def fill(r):  # batch row by batch row: the expressions below, in place
+            wr = np.matmul(heads(q3, r), heads(kt3, r), out=heads(w, r))
+            np.multiply(wr, np.asarray(c, dtype=q.dtype), out=wr)
+            scores = wr.reshape(-1, h, s, sk)
+            np.add(scores, bias[r], out=scores)
+            if np.isnan(wr).any():
+                raise NumericError("attention: NaN in scores")
+            np.exp(np.subtract(wr, wr.max(axis=-1, keepdims=True), out=wr), out=wr)
+            np.divide(wr, wr.sum(axis=-1, keepdims=True), out=wr)
+            np.matmul(wr, heads(v3, r), out=heads(ctx, r))
+
+        _halves(b, fill)
+    else:
+        scores = ((q3 @ kt3) * np.asarray(c, dtype=q.dtype)).reshape(b, h, s, sk) + bias
+        if np.isnan(scores).any():
+            raise NumericError("attention: NaN in scores")
+        scores = scores.reshape(b * h, s, sk)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        w = e / e.sum(axis=-1, keepdims=True)
+        ctx = w @ v3
+    out = ctx.reshape(b, h, s, dh).transpose(0, 2, 1, 3).reshape(b * s, d)
 
     def bwd(g):
         g3 = g.reshape(b, s, h, dh).transpose(0, 2, 1, 3).reshape(b * h, s, dh)

@@ -8,12 +8,14 @@ import pytest
 
 from afp import cli
 from afp import corpus as C
+from afp import tensor as T
 from afp.checkpoint import load_params, save_params
 from afp.config import load_config
 from afp.model import forward, init_params
 from afp.represent import pool
 
 from test_checkpoint import oversized_record
+from test_training import poison_third_call
 
 TINY = {
     "model": {"vocab_size": 33, "d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 24, "max_seq_len": 48},
@@ -131,6 +133,21 @@ class TestTrain:
             )
         assert code == 4
         assert (tmp / "run" / "checkpoint_lastgood.afpt").exists()
+
+    @pytest.mark.parametrize("lane", ["worker", "caller"])
+    def test_checked_abort_on_either_lane_exit_4(self, ws, monkeypatch, lane):
+        tmp, cfg = ws
+        run_cli(["gen-corpus", "--config", cfg])
+        monkeypatch.setattr(T, "LANES", 2)
+        poison_third_call(monkeypatch, lane)
+        T.set_checked(True)
+        try:
+            code = run_cli(["train", "--config", cfg, "--set", "train.steps=4"])
+        finally:
+            T.set_checked(False)
+        assert code == 4
+        assert (tmp / "run" / "checkpoint_lastgood.afpt").exists()
+        assert not (tmp / "run" / "checkpoint.afpt").exists()
 
 
 @pytest.fixture()
@@ -253,6 +270,78 @@ class TestExportEmbeddings:
              "--corpus", str(tmp / "corpus" / "heldout.jsonl"), "--out", str(tmp / "x.jsonl")]
         ) == 2
         assert "pca2" in capsys.readouterr().err
+
+
+def rewrite_record(path, line, edit):
+    """Apply edit to the JSON record on the given (1-based) line of a JSONL file."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    edit(rec)
+    lines[line - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCorruptCorpus:
+    def test_truncated_pairs_file_exit_5(self, ws, capsys):
+        tmp, cfg = ws
+        run_cli(["gen-corpus", "--config", cfg])
+        path = tmp / "corpus" / "pairs.jsonl"
+        text = path.read_text()
+        path.write_text(text[: len(text) - 10])  # cut inside the last record
+        assert run_cli(["train", "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert "corrupt artifact" in err and f"pairs.jsonl line {text.count(chr(10))}" in err
+        assert not (tmp / "run" / "checkpoint_step0.afpt").exists()
+
+    def test_heldout_record_without_tgt_exit_5(self, trained, capsys):
+        tmp, cfg, ckpt = trained
+        rewrite_record(tmp / "corpus" / "heldout.jsonl", 3, lambda rec: rec.pop("tgt"))
+        assert run_cli(["metrics", "--checkpoint", str(ckpt), "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert "heldout.jsonl line 3" in err and "tgt" in err
+
+    def test_truncated_family_file_exit_5(self, ws, capsys):
+        tmp, cfg = ws
+        run_cli(["gen-corpus", "--config", cfg])
+        path = tmp / "corpus" / "family.json"
+        path.write_text(path.read_text()[:100])
+        assert run_cli(["train", "--config", cfg]) == 5
+        assert "family.json" in capsys.readouterr().err
+
+
+OUT_OF_VOCAB = [
+    ("pairs.jsonl", lambda rec: rec["src"]["tokens"].append(33)),
+    ("cif.jsonl", lambda rec: rec["input_tokens"].__setitem__(2, -1)),
+    ("heldout.jsonl", lambda rec: rec["tgt"]["tokens"].append(1000)),
+    ("heldout_cif.jsonl", lambda rec: rec["input_tokens"].__setitem__(0, 33)),
+]
+
+
+class TestOutOfVocabCorpus:
+    @pytest.mark.parametrize("name,edit", OUT_OF_VOCAB, ids=[n for n, _ in OUT_OF_VOCAB])
+    def test_train_exit_2_before_any_step(self, ws, capsys, name, edit):
+        tmp, cfg = ws
+        run_cli(["gen-corpus", "--config", cfg])
+        rewrite_record(tmp / "corpus" / name, 2, edit)
+        assert run_cli(["train", "--config", cfg]) == 2
+        assert f"{name} line 2" in capsys.readouterr().err
+        assert not (tmp / "run" / "checkpoint_step0.afpt").exists()
+
+    @pytest.mark.parametrize("command", [["metrics"], ["eval", "--task", "metrics"], ["eval", "--task", "retrieval"]])
+    def test_eval_and_metrics_exit_2(self, trained, capsys, command):
+        tmp, cfg, ckpt = trained
+        rewrite_record(tmp / "corpus" / "heldout.jsonl", 1, OUT_OF_VOCAB[2][1])
+        assert run_cli(command + ["--checkpoint", str(ckpt), "--config", cfg]) == 2
+        assert "vocabulary" in capsys.readouterr().err
+
+    def test_export_embeddings_exit_2(self, trained, capsys):
+        tmp, cfg, ckpt = trained
+        rewrite_record(tmp / "corpus" / "heldout.jsonl", 1, OUT_OF_VOCAB[2][1])
+        assert run_cli(
+            ["export-embeddings", "--checkpoint", str(ckpt), "--config", cfg,
+             "--corpus", str(tmp / "corpus" / "heldout.jsonl"), "--out", str(tmp / "x.jsonl")]
+        ) == 2
+        assert "vocabulary" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

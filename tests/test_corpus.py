@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from afp import corpus as C
-from afp.errors import ConfigError, DataError, UsageError
+from afp.errors import CheckpointError, ConfigError, DataError, UsageError
 from afp.rng import stream
 
 
@@ -287,3 +287,39 @@ class TestAudits:
         assert n == len(pairs)
         again = C.load_jsonl(path, C.TranslationPair.from_json)
         assert again == pairs
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            b'{"src": {"lang": "A", "tokens": [9, 1',  # truncated
+            b'{"src": {"lang": "A", "tokens": [9]}}',  # no "tgt"
+            b'{"src": {"lang": "A", "tokens": [9, "x"]}, "tgt": {"lang": "B", "tokens": [9]}}',
+            b"[1, 2]",
+            b"\xff\xfe{}",
+            b"\xef\xbb\xbf{}",
+            '{"src": {}}'.encode("utf-16"),
+        ],
+        ids=["truncated", "missing-key", "non-integer-token", "not-an-object", "not-utf8", "utf8-bom", "utf16"],
+    )
+    def test_malformed_line_names_file_and_line(self, family, tmp_path, bad):
+        path = tmp_path / "pairs.jsonl"
+        C.save_jsonl(path, C.make_translation_pairs(family, "pairwise", 1, stream(23, "io")))
+        lines = path.read_bytes().splitlines()
+        lines[1] = bad
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(CheckpointError, match=r"pairs\.jsonl line 2: ") as err:
+            C.load_jsonl(path, C.TranslationPair.from_json)
+        if bad.startswith((b"\xff", b"\xef")):  # rejected as UTF-8, not through a missing key
+            assert "utf-8" in str(err.value).lower()
+
+    def test_cif_mask_length_mismatch_rejected(self, family):
+        doc = C.make_cif_sample(family, "copy", "A", 0.5, stream(24, "io")).to_json()
+        doc["loss_mask"].append(True)
+        with pytest.raises(CheckpointError, match="loss-mask"):
+            C.CifSample.from_json(doc)
+
+    def test_family_missing_key_rejected(self, family):
+        doc = family.to_json()
+        del doc["transition"]
+        with pytest.raises(CheckpointError, match="transition"):
+            C.TwinLanguageFamily.from_json(doc)

@@ -1,8 +1,10 @@
 import math
+import threading
 
 import numpy as np
 import pytest
 
+from afp import tensor as T
 from afp.errors import ConfigError, ShapeError, UsageError
 from afp.gradcheck import grad_error
 from afp.model import ForwardResult, KVCache, ModelConfig, forward, init_params, param_shapes, sequence_nll
@@ -132,6 +134,69 @@ class TestForward:
         params = init_params(CFG, seed=0)
         with pytest.raises(IndexError):
             forward(params, np.array([[CFG.vocab_size]]))
+
+
+def same_forward(a, b):
+    return (
+        len(a.hidden_states) == len(b.hidden_states)
+        and all(x.data.dtype == y.data.dtype and np.array_equal(x.data, y.data) for x, y in zip(a.hidden_states, b.hidden_states))
+        and (a.logits is None) == (b.logits is None)
+        and (a.logits is None or np.array_equal(a.logits.data, b.logits.data))
+    )
+
+
+@pytest.fixture()
+def lane_calls(monkeypatch):
+    """Two lanes whatever the CPU count; records the thread of every run_lanes call."""
+    monkeypatch.setattr(T, "LANES", 2)
+    calls = []
+    real = T.run_lanes
+
+    def spy(first, second):
+        calls.append(threading.get_ident())
+        return real(first, second)
+
+    monkeypatch.setattr(T, "run_lanes", spy)
+    return calls
+
+
+def one_lane_forward(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(T, "LANES", 1)
+        return forward(*args, **kwargs)
+
+
+# (32, 64, 100) is a shape whose BLAS products, split by rows, differ in the
+# last bits on a 2-core x86 box; the split row-wise ops must not.
+SPLIT_MODELS = [CFG, ModelConfig(vocab_size=100, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=12)]
+
+
+class TestTwoLaneForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", SPLIT_MODELS, ids=["tiny", "d32"])
+    @pytest.mark.parametrize("case", ["right-padded", "odd-batch", "single-row"])
+    def test_split_ops_equal_one_lane_bit_for_bit(self, monkeypatch, lane_calls, dtype, cfg, case):
+        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)  # split every row-wise op
+        rng = stream(31, case)
+        b = {"right-padded": 32, "odd-batch": 7, "single-row": 1}[case]
+        tokens = rand_tokens(rng, b, cfg.max_seq_len, cfg.vocab_size)
+        pad = np.ones(tokens.shape, dtype=bool)
+        if case == "right-padded":
+            pad = np.arange(cfg.max_seq_len)[None, :] < rng.integers(1, cfg.max_seq_len + 1, size=(b, 1))
+        params = init_params(cfg, seed=9, dtype=dtype)
+        for layer in [*range(cfg.n_layers + 1), None]:
+            lane_calls.clear()
+            got = forward(params, tokens, pad, upto_layer=layer)
+            assert same_forward(got, one_lane_forward(monkeypatch, params, tokens, pad, upto_layer=layer))
+            assert bool(lane_calls) == (layer != 0)  # ops split even at b == 1
+
+    def test_batch_below_the_threshold_is_not_split(self, monkeypatch, lane_calls):
+        params = init_params(CFG, seed=9)
+        tokens = rand_tokens(stream(32, "small"), 4, CFG.max_seq_len)
+        assert 4 * CFG.d_ff * CFG.max_seq_len < T.SPLIT_ELEMENTS
+        got = forward(params, tokens)
+        assert lane_calls == []
+        assert same_forward(got, one_lane_forward(monkeypatch, params, tokens))
 
 
 class TestKVCache:

@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -386,6 +390,177 @@ class TestCheckedMode:
             np.testing.assert_array_equal(out.data, [3.0, 8.0])
         finally:
             T.set_checked(False)
+
+
+@pytest.fixture()
+def two_lanes(monkeypatch):
+    monkeypatch.setattr(T, "LANES", 2)
+
+
+def _lane_round_trip():
+    sys.exit(0 if T.run_lanes(lambda: 1, lambda: 2) == (1, 2) else 1)
+
+
+class TestRunLanes:
+    def test_second_runs_on_the_worker_lane(self, two_lanes):
+        a, b = T.run_lanes(threading.get_ident, threading.get_ident)
+        assert a == threading.get_ident() != b
+
+    def test_one_lane_runs_both_inline_in_order(self, monkeypatch):
+        monkeypatch.setattr(T, "LANES", 1)
+        calls = []
+        out = T.run_lanes(
+            lambda: calls.append(("first", threading.get_ident())) or 1,
+            lambda: calls.append(("second", threading.get_ident())) or 2,
+        )
+        me = threading.get_ident()
+        assert out == (1, 2) and calls == [("first", me), ("second", me)]
+
+    def test_nested_calls_run_inline_while_the_lane_is_busy(self, two_lanes):
+        first_done = threading.Event()
+
+        def first():
+            try:
+                return T.run_lanes(threading.get_ident, threading.get_ident)
+            finally:
+                first_done.set()
+
+        def second():  # called on the worker lane, and holds it until first() is done
+            out = T.run_lanes(threading.get_ident, threading.get_ident)
+            first_done.wait(10)
+            return out
+
+        (a, b), (c, d) = T.run_lanes(first, second)
+        assert a == b == threading.get_ident() and c == d != a
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    def test_error_raised_after_both_lanes_finished(self, two_lanes, failing):
+        finished = []
+
+        def lane(name):
+            def run():
+                time.sleep(0.05)
+                finished.append(name)
+                if failing in (name, "both"):
+                    raise NumericError(name)
+
+            return run
+
+        with pytest.raises(NumericError, match="first" if failing == "both" else failing):
+            T.run_lanes(lane("first"), lane("second"))
+        assert sorted(finished) == ["first", "second"]
+
+    def test_errstate_of_the_caller_holds_on_the_worker_lane(self, two_lanes):
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            T.run_lanes(lambda: None, lambda: np.ones(1) / np.zeros(1))
+
+    def test_taped_lane_nodes_follow_the_first_lanes(self, two_lanes):
+        x = t64([1.0, 2.0], requires_grad=True)
+        with Graph() as g:
+            a, b = T.run_lanes(lambda: T.scale(T.mul(x, x), 2.0), lambda: T.sum_all(T.add(x, x)))
+        assert [n.op for n in g.nodes] == ["mul", "scale", "add", "sum_all"]
+        assert a.requires_grad and b.requires_grad
+
+    def test_failed_lane_nodes_are_never_spliced(self, two_lanes):
+        x = t64([1.0, 2.0], requires_grad=True)
+
+        def poisoned():
+            T.add(x, x)
+            return T.scale(x, math.inf)
+
+        T.set_checked(True)
+        try:
+            with Graph() as g, pytest.raises(NumericError, match="scale"):
+                T.run_lanes(lambda: T.mul(x, x), poisoned)
+        finally:
+            T.set_checked(False)
+        assert [n.op for n in g.nodes] == ["mul"]
+        assert T.run_lanes(lambda: None, T.recording) == (None, False)  # the worker's Graph stack is empty
+
+    def test_concurrent_callers_get_their_own_results(self, two_lanes):
+        errors = []
+
+        def caller(k):
+            try:
+                for i in range(300):
+                    out = T.run_lanes(lambda: (k, i), lambda: (k, -i))
+                    if out != ((k, i), (k, -i)):
+                        errors.append((k, i, out))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_forked_child_starts_a_lane_of_its_own(self, two_lanes):
+        T.run_lanes(lambda: None, lambda: None)  # the parent's worker thread exists
+        child = multiprocessing.get_context("fork").Process(target=_lane_round_trip)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0
+
+
+class TestRowSplitOps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [2, 3, 17, 64])
+    def test_split_equals_whole_with_gradients(self, monkeypatch, dtype, rows):
+        rng = stream(rows, "split-ops")
+        s, d, heads = 6, 24, 4
+        pad = np.arange(s)[None, :] < rng.integers(1, s + 1, size=(rows, 1))
+        arrays = [rng.normal(size=shape).astype(dtype) * 3.0 for shape in [(rows * s, d), (rows, s, d), (rows * s, d), (d,), (d,)]]
+        real = T.run_lanes
+
+        def run(lanes, calls):
+            monkeypatch.setattr(T, "LANES", lanes)
+            monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)  # split every op
+            monkeypatch.setattr(T, "run_lanes", lambda a, b: calls.append(1) or real(a, b))
+            x2, x3, qkv, gain, bias = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            with Graph() as g:
+                outs = [
+                    T.gelu(x2),
+                    T.gelu(x3),
+                    T.layer_norm(x3, gain, bias),
+                    T.layer_norm(x2, gain, bias),
+                    T.attention(qkv, qkv, qkv, padded_attention_bias(pad, dtype), heads),
+                ]
+                total = T.reshape(outs[0], (rows * s, d))
+                for o in outs[1:]:
+                    total = T.add(total, T.reshape(o, (rows * s, d)))
+                weights = Tensor(np.cos(np.arange(rows * s * d, dtype=dtype)).reshape(rows * s, d))
+                backward(g, T.sum_all(T.mul(total, weights)))
+            return [o.data for o in outs] + [t.grad for t in (x2, x3, qkv, gain, bias)]
+
+        whole_calls, split_calls = [], []
+        whole, split = run(1, whole_calls), run(2, split_calls)
+        assert whole_calls == [] and len(split_calls) == 5
+        assert all(a.dtype == b.dtype == dtype and np.array_equal(a, b) for a, b in zip(whole, split))
+
+    @pytest.mark.parametrize("shape", [(1, 9), (11,), (8, 6)])
+    def test_gelu_splits_by_element(self, two_lanes, monkeypatch, shape):
+        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)
+        data = stream(5, "split-gelu").normal(size=shape[::-1]).T  # non-contiguous when 2-D
+        got = T.gelu(Tensor(data)).data
+        monkeypatch.setattr(T, "LANES", 1)
+        assert np.array_equal(got, T.gelu(Tensor(data)).data)
+
+    def test_nan_score_in_a_split_attention(self, two_lanes, monkeypatch):
+        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)
+        q = np.ones((4 * 3, 8))
+        q[10, 0] = np.nan  # batch row 3: the worker's half
+        with pytest.raises(NumericError, match="attention: NaN"):
+            T.attention(t64(q), t64(q), t64(q), padded_attention_bias(np.ones((4, 3), bool)), 2)
 
 
 class TestTensorBasics:

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import math
+import threading
 
 import numpy as np
 import pytest
 
 from afp import corpus as C
+from afp import losses
+from afp import tensor as T
 from afp.config import CorpusConfig, EvalConfig, RunConfig, TrainConfig
 from afp.errors import TrainingError, UsageError
 from afp.losses import cif_loss
@@ -56,6 +60,34 @@ def tiny_corpus():
     return generate_corpus(tiny_run_config())
 
 
+def poison_third_call(monkeypatch, lane):
+    """Make afp_loss's third target-side embedding ("worker" lane) or third
+    CIF loss ("caller" lane) non-finite; returns the threads of those calls."""
+    threads = []
+    monkeypatch.setattr(losses, "PAIR_LANE_WORK", 0)  # every pair batch on two lanes
+    if lane == "worker":
+        real, main = losses.embed, threading.get_ident()
+
+        def poisoned(*args):
+            out = real(*args)
+            if threading.get_ident() == main:
+                return out
+            threads.append(threading.get_ident())
+            return dataclasses.replace(out, vectors=T.scale(out.vectors, math.inf)) if len(threads) == 3 else out
+
+        monkeypatch.setattr(losses, "embed", poisoned)
+    else:
+        real = losses.cif_loss
+
+        def poisoned(params, batch):
+            threads.append(threading.get_ident())
+            loss, n = real(params, batch)
+            return (T.scale(loss, math.inf) if len(threads) == 3 else loss), n
+
+        monkeypatch.setattr(losses, "cif_loss", poisoned)
+    return threads
+
+
 def params_equal(a, b):
     return all(np.array_equal(ta.data, tb.data) for (_, ta), (_, tb) in zip(a.named(), b.named()))
 
@@ -99,6 +131,26 @@ class TestTrain:
             train(cfg.model, cfg.train, tiny_corpus, seed=cfg.seed)
         assert err.value.last_good_params is not None
         assert err.value.last_good_step >= 0
+
+    @pytest.mark.parametrize("lane", ["worker", "caller"])
+    def test_checked_abort_on_either_lane_retains_last_good(self, tiny_corpus, monkeypatch, lane):
+        # the third step's target-side embedding (worker lane) or CIF loss (caller) turns inf
+        monkeypatch.setattr(T, "LANES", 2)
+        poisoned = poison_third_call(monkeypatch, lane)
+        cfg = tiny_run_config(steps=4, eval_every=2)
+        T.set_checked(True)
+        try:
+            with pytest.raises(TrainingError, match="scale: non-finite") as err:
+                train(cfg.model, cfg.train, tiny_corpus, seed=cfg.seed)
+        finally:
+            T.set_checked(False)
+        assert len(poisoned) == 3 and (poisoned[-1] == threading.get_ident()) == (lane == "caller")
+        assert err.value.last_good_step == 2
+        monkeypatch.undo()
+        two_steps = tiny_run_config(steps=2, eval_every=2)
+        clean = train(two_steps.model, two_steps.train, tiny_corpus, seed=cfg.seed)
+        assert params_equal(err.value.last_good_params, clean.params)
+        assert T.run_lanes(lambda: None, T.recording) == (None, False)  # no Graph left open on the worker
 
     def test_align_layer_beyond_model_rejected(self, tiny_corpus):
         cfg = tiny_run_config(align_layer=5)
@@ -145,6 +197,21 @@ class TestTrain:
         params = init_params(cfg.model, 0)
         with pytest.raises(UsageError, match="held-out"):
             heldout_metrics(params, corpus, cfg.train, step=0)
+
+    def test_heldout_metrics_with_split_gelus_equal_one_lane(self, tiny_corpus, monkeypatch):
+        cfg = tiny_run_config()
+        params = init_params(cfg.model, seed=cfg.seed)
+        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)  # split every GELU
+        calls = []
+        real = T.run_lanes
+        monkeypatch.setattr(T, "run_lanes", lambda a, b: calls.append(1) or real(a, b))
+        reports = {}
+        for lanes in (1, 2):
+            monkeypatch.setattr(T, "LANES", lanes)
+            calls.clear()
+            reports[lanes] = heldout_metrics(params, tiny_corpus, cfg.train, step=0).to_json()
+            assert bool(calls) == (lanes == 2)
+        assert reports[1] == reports[2]
 
     def test_mcl_only_mode_runs(self, tiny_corpus):
         cfg = tiny_run_config(steps=4, eval_every=2, alpha=0.0)
