@@ -10,6 +10,7 @@ Token id layout: shared specials first, then one language-tag token per
 language, then one block of concept tokens per language.
 """
 
+import bisect
 import functools
 import itertools
 import json
@@ -30,6 +31,8 @@ N_SHARED_SPECIALS = 7
 TASKS = tuple(TASK_TAGS)
 POLICIES = ("pivot", "pairwise")
 ORDER_TRANSFORMS = ("identity", "reverse")
+# Generator.choice's tolerance on the sum of a probability vector.
+PROB_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _apply_order(transform: str, seq: list[int]) -> list[int]:
@@ -67,23 +70,28 @@ class LanguageSpec:
     def __post_init__(self):
         if self.transform not in ORDER_TRANSFORMS:
             raise ConfigError(f"unknown order transform {self.transform!r}")
-        perm = np.asarray(self.perm, dtype=np.int64)
+        perm = np.asarray(self.perm)
+        if perm.dtype.kind not in "iu":
+            raise ConfigError(f"language {self.name}: perm entries must be integers")
+        perm = perm.astype(np.int64)
         if sorted(perm.tolist()) != list(range(perm.size)):
             raise ConfigError(f"language {self.name}: perm is not a bijection")
         self.perm = perm
         inv = np.empty_like(perm)
         inv[perm] = np.arange(perm.size)
-        self._inv = inv
+        # both maps as Python lists: a list index per token is cheaper than a numpy scalar read
+        self._tokens = [self.base + p for p in perm.tolist()]
+        self._concepts = inv.tolist()
 
     @property
     def concept_count(self) -> int:
         return int(self.perm.size)
 
     def token_of(self, concept: int) -> int:
-        return self.base + int(self.perm[concept])
+        return self._tokens[concept]
 
     def concept_of(self, token: int) -> int:
-        return int(self._inv[token - self.base])
+        return self._concepts[token - self.base]
 
     def owns(self, token: int) -> bool:
         return self.base <= token < self.base + self.concept_count
@@ -103,6 +111,9 @@ class TwinLanguageFamily:
         self.start_dist = np.asarray(self.start_dist, dtype=np.float64)
         self.transition = np.asarray(self.transition, dtype=np.float64)
         self.validate()
+        # Inverse-CDF tables for sample_concepts, one per distribution.
+        self._start_cdf = _choice_cdf(self.start_dist)
+        self._transition_cdf = [_choice_cdf(row) for row in self.transition]
 
     def validate(self):
         if self.concept_count < 8:
@@ -123,12 +134,16 @@ class TwinLanguageFamily:
         for l in self.languages:
             if l.concept_count != self.concept_count:
                 raise ConfigError(f"language {l.name}: permutation size mismatch")
+        if self.start_dist.shape != (self.concept_count,):
+            raise ConfigError("start distribution shape mismatch")
         if self.transition.shape != (self.concept_count, self.concept_count):
             raise ConfigError("transition matrix shape mismatch")
-        if not np.allclose(self.transition.sum(axis=1), 1.0, atol=1e-12):
-            raise ConfigError("transition rows must sum to 1")
-        if not np.isclose(self.start_dist.sum(), 1.0, atol=1e-12):
-            raise ConfigError("start distribution must sum to 1")
+        # the checks Generator.choice made on every draw, made once for every row
+        for what, probs in (("start distribution", self.start_dist[None]), ("transition rows", self.transition)):
+            if not (np.isfinite(probs).all() and (probs >= 0).all()):
+                raise ConfigError(f"{what} must be finite and non-negative")
+            if np.abs(probs.sum(axis=1) - 1.0).max() > PROB_SUM_ATOL:
+                raise ConfigError(f"{what} must sum to 1")
         lo, hi = self.length_bounds
         if not (1 <= lo <= hi):
             raise ConfigError(f"bad length bounds {self.length_bounds}")
@@ -155,14 +170,18 @@ class TwinLanguageFamily:
 
     def render(self, concepts, lang: str) -> list[int]:
         spec = self.language(lang)
-        return _apply_order(spec.transform, [spec.token_of(c) for c in concepts])
+        tokens = spec._tokens
+        return _apply_order(spec.transform, [tokens[c] for c in concepts])
 
     def parse(self, sent, lang: str) -> list[int]:
         spec = self.language(lang)
+        concepts = spec._concepts
+        out = []
         for pos, tok in enumerate(sent):
             if not spec.owns(tok):
                 raise DataError(f"token {tok} at position {pos} is not in language {lang!r}")
-        return [spec.concept_of(t) for t in _apply_order(spec.transform, list(sent))]
+            out.append(concepts[tok - spec.base])
+        return _apply_order(spec.transform, out)
 
     def to_json(self) -> dict:
         return {
@@ -239,12 +258,27 @@ def make_family(concept_count: int, langs_config, seed: int, length_bounds=(3, 8
     )
 
 
+def _choice_cdf(p: np.ndarray) -> list[float]:
+    """The table Generator.choice(p=p) builds on every call."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def sample_concepts(family: TwinLanguageFamily, rng: np.random.Generator) -> list[int]:
+    """Draw a length, then each concept by inverse CDF on the family's tables.
+
+    The draws equal a loop of `rng.choice(concept_count, p=row)` calls: choice
+    takes one `random()` per call and returns `searchsorted(cdf, u, side="right")`.
+    Drawing the uniforms in one call yields the same doubles in the same order.
+    """
     lo, hi = family.length_bounds
     length = int(rng.integers(lo, hi + 1))
-    seq = [int(rng.choice(family.concept_count, p=family.start_dist))]
-    for _ in range(length - 1):
-        seq.append(int(rng.choice(family.concept_count, p=family.transition[seq[-1]])))
+    first, *rest = rng.random(length).tolist()
+    rows = family._transition_cdf
+    seq = [bisect.bisect_right(family._start_cdf, first)]
+    for u in rest:
+        seq.append(bisect.bisect_right(rows[seq[-1]], u))
     return seq
 
 

@@ -148,6 +148,20 @@ def greedy_decode(params: ModelParams, prompt, max_new_tokens: int, stop_token: 
     return out
 
 
+def _emits_two_sequences(family: C.TwinLanguageFamily) -> bool:
+    """Two lengths, or a fork in the start support or in a transition row
+    that the one fixed-length path reaches before its last concept."""
+    lo, hi = family.length_bounds
+    if hi > lo:
+        return True
+    support = np.flatnonzero(family.start_dist)
+    for _ in range(lo - 1):
+        if support.size > 1:
+            return True
+        support = np.flatnonzero(family.transition[support[0]])
+    return support.size > 1
+
+
 @dataclass
 class PairClassificationTask:
     """Same-concept vs different-concept sentence pairs across two languages.
@@ -160,6 +174,11 @@ class PairClassificationTask:
     lang_a: str
     lang_b: str
     name: str = "same-concept"
+
+    def __post_init__(self):
+        # make_example redraws until the two sequences differ
+        if not _emits_two_sequences(self.family):
+            raise UsageError("classification needs a family that can emit two different concept sequences")
 
     def verbalizer(self) -> dict:
         return {"same": [C.VERB_SAME], "diff": [C.VERB_DIFF]}

@@ -97,10 +97,6 @@ class ModelParams:
     def n_params(self) -> int:
         return sum(t.size for t in self.tensors.values())
 
-    def set_requires_grad(self, flag: bool) -> None:
-        for t in self.tensors.values():
-            t.requires_grad = flag
-
     def copy(self) -> "ModelParams":
         out = ModelParams(
             self.config,

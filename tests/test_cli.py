@@ -309,6 +309,41 @@ class TestCorruptCorpus:
         assert "family.json" in capsys.readouterr().err
 
 
+def rewrite_family(corpus_dir, edit):
+    path = corpus_dir / "family.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def negative_entry(doc):
+    row = doc["transition"][0]
+    row[0] += row[1] + 0.5
+    row[1] = -0.5
+
+
+def one_sequence(doc):
+    n = doc["concept_count"]
+    doc["start_dist"] = [1.0] + [0.0] * (n - 1)
+    doc["transition"] = [[1.0 if j == (i + 1) % n else 0.0 for j in range(n)] for i in range(n)]
+    doc["length_bounds"] = [2, 2]
+
+
+class TestBadFamily:
+    @pytest.mark.parametrize("task", ["classification", "translation"])
+    def test_negative_probability_exit_2(self, trained, capsys, task):
+        tmp, cfg, ckpt = trained
+        rewrite_family(tmp / "corpus", negative_entry)
+        assert run_cli(["eval", "--checkpoint", str(ckpt), "--config", cfg, "--task", task]) == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_one_sequence_family_classification_exit_2(self, trained, capsys):
+        tmp, cfg, ckpt = trained
+        rewrite_family(tmp / "corpus", one_sequence)
+        assert run_cli(["eval", "--checkpoint", str(ckpt), "--config", cfg, "--task", "classification"]) == 2
+        assert "two different concept sequences" in capsys.readouterr().err
+
+
 OUT_OF_VOCAB = [
     ("pairs.jsonl", lambda rec: rec["src"]["tokens"].append(33)),
     ("cif.jsonl", lambda rec: rec["input_tokens"].__setitem__(2, -1)),

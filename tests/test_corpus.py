@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from afp import corpus as C
+from afp.config import CorpusConfig, RunConfig
 from afp.errors import CheckpointError, ConfigError, DataError, UsageError
 from afp.rng import stream
+from afp.training import generate_corpus
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +73,193 @@ class TestFamily:
     def test_json_round_trip(self, family):
         clone = C.TwinLanguageFamily.from_json(json.loads(json.dumps(family.to_json())))
         assert clone.to_json() == family.to_json()
+
+
+def edited_family(family, edit):
+    doc = json.loads(json.dumps(family.to_json()))
+    edit(doc)
+    return C.TwinLanguageFamily.from_json(doc)
+
+
+def negative_entry(row):
+    row[0] += row[1] + 0.5
+    row[1] = -0.5
+
+
+def scale(row, factor):
+    row[:] = [x * factor for x in row]
+
+
+BAD_FAMILIES = {
+    "negative-transition": (lambda doc: negative_entry(doc["transition"][3]), "non-negative"),
+    "negative-start": (lambda doc: negative_entry(doc["start_dist"]), "non-negative"),
+    "nan-transition": (lambda doc: doc["transition"][0].__setitem__(2, float("nan")), "finite"),
+    "inf-start": (lambda doc: doc["start_dist"].__setitem__(0, float("inf")), "finite"),
+    "transition-row-sum-off-1e-6": (lambda doc: scale(doc["transition"][5], 1 + 1e-6), "sum to 1"),
+    "start-sum-off-1e-6": (lambda doc: scale(doc["start_dist"], 1 - 1e-6), "sum to 1"),
+    "start-wrong-length": (lambda doc: doc["start_dist"].append(0.0), "shape"),
+    "non-integer-perm": (lambda doc: doc["languages"][0].update(perm=[p + 0.2 for p in doc["languages"][0]["perm"]]), "integers"),
+}
+
+
+class TestFamilyValidation:
+    """validate() holds every check Generator.choice made on each draw."""
+
+    @pytest.mark.parametrize("edit,message", BAD_FAMILIES.values(), ids=BAD_FAMILIES.keys())
+    def test_rejected(self, family, edit, message):
+        with pytest.raises(ConfigError, match=message):
+            edited_family(family, edit)
+
+    def test_sums_within_choice_tolerance_accepted(self, family):
+        def edit(doc):
+            scale(doc["transition"][5], 1 + 1e-9)
+            scale(doc["start_dist"], 1 - 1e-9)
+
+        edited_family(family, edit)
+
+
+def choice_sample_concepts(family, rng):
+    """Reference sampler: one Generator.choice draw per concept."""
+    lo, hi = family.length_bounds
+    length = int(rng.integers(lo, hi + 1))
+    seq = [int(rng.choice(family.concept_count, p=family.start_dist))]
+    for _ in range(length - 1):
+        seq.append(int(rng.choice(family.concept_count, p=family.transition[seq[-1]])))
+    return seq
+
+
+def sparse(doc):
+    """Zero a third of every row and both ends of the start distribution."""
+    start = [0.0] + doc["start_dist"][1:-1] + [0.0]
+    doc["start_dist"] = [x / sum(start) for x in start]
+    for i, row in enumerate(doc["transition"]):
+        kept = [0.0 if (i + j) % 3 == 0 else x for j, x in enumerate(row)]
+        doc["transition"][i] = [x / sum(kept) for x in kept]
+
+
+def unnormalized(doc):
+    """Sums 1e-9 away from 1: inside choice's tolerance, so the cdf's own division matters."""
+    scale(doc["start_dist"], 1 + 1e-9)
+    for row in doc["transition"]:
+        scale(row, 1 - 1e-9)
+
+
+ORACLE_CASES = {
+    "8-concepts-length-1": (8, ["A", "B"], (1, 1), None),
+    "8-concepts-reverse": (8, [("A", "identity"), ("B", "reverse")], (3, 8), None),
+    "128-concepts-three-languages": (128, [("A", "identity"), ("B", "reverse"), ("Cc", "identity")], (3, 8), None),
+    "128-concepts-length-1": (128, ["A", "B"], (1, 1), None),
+    "16-concepts-sparse": (16, ["A", "B"], (3, 8), sparse),
+    "16-concepts-unnormalized": (16, ["A", "B"], (1, 3), unnormalized),
+}
+
+
+class FixedUniforms:
+    """Generator stand-in: a sequence of len(uniforms) concepts drawn with these uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def integers(self, lo, hi):
+        return len(self.uniforms)
+
+    def random(self, n):
+        return np.array(self.uniforms[:n])
+
+
+def searchsorted_concepts(family, uniforms):
+    """The concepts the choice loop picks for these uniforms: searchsorted(side="right") on its cdf."""
+    seq, p = [], family.start_dist
+    for u in uniforms:
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        seq.append(int(cdf.searchsorted(u, side="right")))
+        p = family.transition[seq[-1]]
+    return seq
+
+
+class TestSamplerOracle:
+    """sample_concepts makes exactly the draws of the Generator.choice loop."""
+
+    @pytest.fixture(params=ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def case_family(self, request):
+        count, langs, bounds, edit = request.param
+        fam = C.make_family(count, langs, seed=count + 1, length_bounds=bounds)
+        return edited_family(fam, edit) if edit else fam
+
+    def test_same_sequences_and_generator_state(self, case_family):
+        fast, ref = stream(31, "oracle"), stream(31, "oracle")
+        for _ in range(250):
+            assert C.sample_concepts(case_family, fast) == choice_sample_concepts(case_family, ref)
+            assert fast.bit_generator.state == ref.bit_generator.state
+
+    def test_sentences_match_oracle_rendering(self, case_family):
+        for lang in case_family.languages:
+            fast, ref = stream(32, lang.name), stream(32, lang.name)
+            for _ in range(200):
+                tokens = [lang.token_of(c) for c in choice_sample_concepts(case_family, ref)]
+                expected = tokens[::-1] if lang.transform == "reverse" else tokens
+                assert C.sample_sentence(case_family, lang.name, fast) == expected
+            assert fast.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("start_scale", [1.0, 1 + 2**-30], ids=["normalized", "sum-off-by-2**-30"])
+    def test_uniform_equal_to_a_table_entry(self, start_scale):
+        # dyadic rows put table entries on doubles a uniform can equal; random
+        # draws almost never hit them, so ties and the cdf's division need this
+        def edit(doc):
+            doc["start_dist"] = [x * start_scale for x in [0.25, 0.25, 0.5, 0, 0, 0, 0, 0]]
+            doc["transition"] = [[0.5 if j in ((i + 1) % 8, (i + 2) % 8) else 0.0 for j in range(8)] for i in range(8)]
+
+        fam = edited_family(C.make_family(8, ["A", "B"], seed=0), edit)
+        uniforms = [0.25, 0.5, 0.0, 0.5, 0.0]
+        assert C.sample_concepts(fam, FixedUniforms(uniforms)) == searchsorted_concepts(fam, uniforms)
+
+    @pytest.mark.parametrize(
+        "corpus",
+        [
+            CorpusConfig(),
+            CorpusConfig(
+                concept_count=32,
+                languages=["A", "B", "Cc"],
+                transforms=["identity", "reverse", "identity"],
+                policy="pairwise",
+                n_pairs_per_combination=300,
+                n_cif=600,
+                n_heldout_pairs=60,
+                n_heldout_cif=90,
+            ),
+        ],
+        ids=["desk", "three-languages-pairwise"],
+    )
+    def test_generate_corpus_equals_choice_corpus(self, corpus, monkeypatch):
+        cfg = RunConfig(corpus=corpus, seed=17)
+        fast = generate_corpus(cfg)
+        monkeypatch.setattr(C, "sample_concepts", choice_sample_concepts)
+        ref = generate_corpus(cfg)
+        assert fast.family.to_json() == ref.family.to_json()
+        for name in ("train_pairs", "train_cif", "heldout_pairs", "heldout_cif"):
+            assert getattr(fast, name) == getattr(ref, name), name
+
+
+class TestRenderParse:
+    def test_render_and_parse_equal_per_token_maps(self, family):
+        concepts = list(range(family.concept_count)) * 2
+        for spec in family.languages:
+            tokens = [spec.token_of(c) for c in concepts]
+            assert tokens == [spec.base + int(spec.perm[c]) for c in concepts]
+            sent = tokens[::-1] if spec.transform == "reverse" else tokens
+            assert family.render(concepts, spec.name) == sent
+            assert family.parse(sent, spec.name) == [spec.concept_of(t) for t in tokens] == concepts
+
+    @pytest.mark.parametrize("lang", ["A", "B"])
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    @pytest.mark.parametrize("where", ["below", "above", "special"])
+    def test_parse_names_bad_position(self, family, lang, pos, where):
+        spec = family.language(lang)
+        sent = family.render([1, 2, 3, 4, 5], lang)
+        sent[pos] = {"below": spec.base - 1, "above": spec.base + spec.concept_count, "special": C.SEP}[where]
+        with pytest.raises(DataError, match=f"position {pos} "):
+            family.parse(sent, lang)
 
 
 class TestSampling:

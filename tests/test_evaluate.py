@@ -181,6 +181,48 @@ class TestScoreCandidates:
         assert shapes == [(3, len(prompt) + 2)]
 
 
+def chain_family(start, forks, length_bounds, n=8):
+    """n-concept family starting uniformly on `start`, where concept i moves to
+    i + 1 except that `forks` maps a concept to its uniform successors."""
+    doc = C.make_family(n, ["A", "B"], seed=0).to_json()
+    start_dist = np.zeros(n)
+    start_dist[start] = 1 / len(start)
+    trans = np.zeros((n, n))
+    for i in range(n):
+        succ = forks.get(i, [(i + 1) % n])
+        trans[i, succ] = 1 / len(succ)
+    doc.update(start_dist=start_dist.tolist(), transition=trans.tolist(), length_bounds=list(length_bounds))
+    return C.TwinLanguageFamily.from_json(doc)
+
+
+ONE_SEQUENCE = {
+    "length-1": ([0], {}, (1, 1)),
+    "length-2": ([0], {}, (2, 2)),
+    "fork-past-the-end": ([0], {1: [2, 3]}, (2, 2)),
+    "fork-unreachable": ([0], {5: [6, 7]}, (4, 4)),
+}
+TWO_SEQUENCES = {
+    "two-lengths": ([0], {}, (2, 3)),
+    "start-fork": ([0, 3], {}, (1, 1)),
+    "fork-at-first-step": ([0], {0: [1, 2]}, (2, 2)),
+    "fork-at-last-step": ([0], {3: [4, 6]}, (5, 5)),
+}
+
+
+class TestClassificationFamilyCheck:
+    @pytest.mark.parametrize("start,forks,bounds", ONE_SEQUENCE.values(), ids=ONE_SEQUENCE.keys())
+    def test_one_sequence_family_rejected(self, start, forks, bounds):
+        with pytest.raises(UsageError, match="two different concept sequences"):
+            E.PairClassificationTask(chain_family(start, forks, bounds), "A", "B")
+
+    @pytest.mark.parametrize("start,forks,bounds", TWO_SEQUENCES.values(), ids=TWO_SEQUENCES.keys())
+    def test_two_sequence_family_draws_both_labels(self, start, forks, bounds):
+        task = E.PairClassificationTask(chain_family(start, forks, bounds), "A", "B")
+        rng = stream(3, "fork")
+        labels = [task.make_example(rng)[1] for _ in range(50)]
+        assert {"same", "diff"} == set(labels)
+
+
 class TestClassificationEval:
     def task(self):
         return E.PairClassificationTask(FAMILY, "A", "B")
