@@ -70,6 +70,10 @@ class LanguageSpec:
     def __post_init__(self):
         if self.transform not in ORDER_TRANSFORMS:
             raise ConfigError(f"unknown order transform {self.transform!r}")
+        base = np.asarray(self.base)
+        if base.ndim or base.dtype.kind not in "iu":
+            raise ConfigError(f"language {self.name}: base must be an integer")
+        self.base = int(base)
         perm = np.asarray(self.perm)
         if perm.dtype.kind not in "iu":
             raise ConfigError(f"language {self.name}: perm entries must be integers")
@@ -131,6 +135,14 @@ class TwinLanguageFamily:
         for (lo1, hi1, n1), (lo2, _hi2, n2) in zip(spans, spans[1:]):
             if lo2 < hi1:
                 raise ConfigError(f"overlapping token ranges: {n1} and {n2}")
+        if set(self.langtag) != set(names):
+            raise ConfigError(f"langtag names {sorted(map(str, self.langtag))} are not the languages {sorted(names)}")
+        try:
+            tags = sorted(operator.index(t) for t in self.langtag.values())
+        except TypeError:
+            tags = None
+        if tags != list(range(N_SHARED_SPECIALS, floor)):
+            raise ConfigError(f"langtag ids must be distinct integers in [{N_SHARED_SPECIALS}, {floor})")
         for l in self.languages:
             if l.concept_count != self.concept_count:
                 raise ConfigError(f"language {l.name}: permutation size mismatch")

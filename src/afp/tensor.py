@@ -6,7 +6,8 @@ recorded on the tape. backward() replays the tape in reverse, which fixes a
 single deterministic accumulation order. Broadcasting is deliberately limited
 to trailing-dimension bias adds and row-wise ops. Large GELU, layer-norm and
 attention ops split their rows across two threads (run_lanes) without
-changing a bit.
+changing a bit. GELU computes its Gaussian cdf with numpy alone: a blocked
+float32 rational kernel, and libm's erf in float64.
 """
 
 import contextvars
@@ -16,14 +17,44 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import NumericError, ShapeError, UsageError
 
 FLOAT_DTYPES = (np.float32, np.float64)
+_FLOAT_DTYPE_SET = frozenset(np.dtype(t) for t in FLOAT_DTYPES)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# GELU's float32 Gaussian cdf: phi(x) = 0.5 + x*P(x*x)/Q(x*x) for x clamped
+# to +-4*sqrt(2), then clipped to [0, 1], which it would leave by up to 2e-7.
+# x*P/Q is Eigen/XLA's float32 rational erf(z) ~ z*N(z*z)/D(z*z) on
+# z in [-4, 4] at z = x/sqrt(2), with that scale and the 0.5 folded into the
+# coefficients (lowest power first below). Its error against the exact phi
+# is at most 2.5e-7.
+_ERF_N = (
+    -1.60960333262415e-02, -2.95459980854025e-03, -7.34990630326855e-04, -5.69250639462346e-05,
+    -2.10102402082508e-06, 2.77068142495902e-08, -2.72614225801306e-10,
+)
+_ERF_D = (
+    -1.42647390514189e-02, -7.37332916720468e-03, -1.68282697438203e-03, -2.13374055278905e-04,
+    -1.45660718464996e-05,
+)
+# Coefficients, bounds and constants as 0-d float32 arrays: a ufunc takes
+# those with the least per-call overhead, and the decode path calls GELU on
+# one position at a time.
+_PHI_P = tuple(np.array(c * 0.5 * _INV_SQRT2 / 2**k, np.float32) for k, c in enumerate(_ERF_N))
+_PHI_Q = tuple(np.array(c / 2**k, np.float32) for k, c in enumerate(_ERF_D))
+_PHI_HI, _PHI_LO = np.array(4.0 * math.sqrt(2.0), np.float32), np.array(-4.0 * math.sqrt(2.0), np.float32)
+_F32_0, _F32_HALF, _F32_1 = (np.array(v, np.float32) for v in (0.0, 0.5, 1.0))
+# Elements per step of the float32 kernel. It bounds the temporaries (three
+# 256 KB buffers) and keeps a step's working set, about 1.5 MB with the
+# input and output blocks, inside a core's L2 cache. On a 2-core Xeon with
+# 2 MB of L2 per core, 2**16 ran GELUs of 172k-1.4M elements 13% faster
+# than 2**14 and 8% faster than 2**17.
+GELU_BLOCK = 2**16
+# libm's erf, elementwise; only the float64 path (gradcheck, oracles) uses it.
+_erf64 = np.frompyfunc(math.erf, 1, 1)
 
 # Finite stand-in for -inf in attention masks; exp() underflows it to exactly 0
 # without ever materializing an Inf in checked mode.
@@ -118,7 +149,7 @@ class Graph:
 
 
 def _active() -> Graph | None:
-    stack = _stack()
+    stack = getattr(_tls, "graphs", None)
     return stack[-1] if stack else None
 
 
@@ -143,7 +174,7 @@ def _usable_cpus() -> int:
 SPLIT_ELEMENTS = 2**18
 
 # Two lanes: the calling thread plus one worker thread, started on first use.
-# numpy ufuncs, scipy's erf and BLAS release the GIL, so the lanes overlap.
+# numpy ufuncs and BLAS release the GIL, so the lanes overlap.
 LANES = min(2, _usable_cpus())
 _lane_busy = threading.Lock()
 _lane = None
@@ -221,7 +252,11 @@ def apply_op(op: str, out_data: np.ndarray, inputs: tuple, backward) -> Tensor:
     """
     if _checked and not np.all(np.isfinite(out_data)):
         raise NumericError(f"{op}: non-finite values in output")
-    out = Tensor(out_data)
+    if type(out_data) is np.ndarray and out_data.dtype in _FLOAT_DTYPE_SET:
+        out = Tensor.__new__(Tensor)  # what __init__ would build, without its np.asarray
+        out.data, out.requires_grad, out.grad = out_data, False, None
+    else:
+        out = Tensor(out_data)
     g = _active()
     if g is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
@@ -255,9 +290,9 @@ def backward(graph: Graph, root: Tensor) -> None:
 
 
 def _binary_check(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-    if a.dtype != b.dtype:
+    if a.data.dtype != b.data.dtype:
         raise ShapeError(f"{op}: dtypes {a.dtype} and {b.dtype} differ")
 
 
@@ -278,26 +313,22 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 def add_bias(x: Tensor, b: Tensor) -> Tensor:
     """x[..., d] + b[d], the one broadcast this engine allows."""
-    if b.data.ndim != 1 or x.shape[-1] != b.shape[0]:
+    xd, bd = x.data, b.data
+    if bd.ndim != 1 or xd.shape[-1] != bd.shape[0]:
         raise ShapeError(f"add_bias: x {x.shape} vs bias {b.shape}")
-    if x.dtype != b.dtype:
+    if xd.dtype != bd.dtype:
         raise ShapeError(f"add_bias: dtypes {x.dtype} and {b.dtype} differ")
-    axes = tuple(range(x.data.ndim - 1))
-    return apply_op("add_bias", x.data + b.data, (x, b), lambda g: (g, g.sum(axis=axes)))
+    return apply_op("add_bias", xd + bd, (x, b), lambda g: (g, g.sum(axis=tuple(range(g.ndim - 1)))))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """C[m,n] = A[m,k] @ B[k,n]."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
-    if a.dtype != b.dtype:
+    if ad.dtype != bd.dtype:
         raise ShapeError(f"matmul: dtypes {a.dtype} and {b.dtype} differ")
-    return apply_op(
-        "matmul",
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    return apply_op("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -319,7 +350,7 @@ def permute(x: Tensor, axes: tuple) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
-    in_shape = x.shape
+    in_shape = x.data.shape
     return apply_op("reshape", x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),))
 
 
@@ -353,34 +384,62 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return apply_op("gather_rows", x.data[idx], (x,), bwd)
 
 
+def _horner(t: np.ndarray, coefs: tuple, out: np.ndarray) -> np.ndarray:
+    """coefs[0] + coefs[1]*t + ... into out, highest power first."""
+    np.add(np.multiply(t, coefs[-1], out=out), coefs[-2], out=out)
+    for c in coefs[-3::-1]:
+        np.add(np.multiply(out, t, out=out), c, out=out)
+    return out
+
+
+def _gelu32(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """phi = Phi(x) and out = x * phi over flat float32 arrays, GELU_BLOCK elements at a time.
+
+    Only +, *, /, min and max, each exact or correctly rounded elementwise,
+    so an element's bits do not depend on where blocks or lane halves cut.
+    """
+    m = min(x.size, GELU_BLOCK)
+    c_buf, t_buf, q_buf = np.empty(m, np.float32), np.empty(m, np.float32), np.empty(m, np.float32)
+    for s in range(0, x.size, GELU_BLOCK):
+        xb, p = x[s : s + GELU_BLOCK], phi[s : s + GELU_BLOCK]
+        k = xb.size
+        c = np.maximum(np.minimum(xb, _PHI_HI, out=c_buf[:k]), _PHI_LO, out=c_buf[:k])  # keeps NaN
+        t = np.multiply(c, c, out=t_buf[:k])
+        q = _horner(t, _PHI_Q, q_buf[:k])
+        _horner(t, _PHI_P, p)
+        np.add(np.divide(np.multiply(p, c, out=p), q, out=p), _F32_HALF, out=p)
+        np.minimum(np.maximum(p, _F32_0, out=p), _F32_1, out=p)
+        np.multiply(xb, p, out=out[s : s + GELU_BLOCK])
+
+
+def _gelu64(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
+    """The float64 counterpart of _gelu32, through libm's erf (about 190 ns an element)."""
+    np.multiply(0.5, np.add(1.0, _erf64(x * _INV_SQRT2).astype(np.float64), out=phi), out=phi)
+    np.multiply(x, phi, out=out)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """Exact Gaussian error linear unit: 0.5*x*(1 + erf(x/sqrt(2)))."""
+    """Exact Gaussian error linear unit: x * Phi(x), Phi the standard normal cdf."""
     xd = x.data
+    phi, out = np.empty(xd.shape, xd.dtype), np.empty(xd.shape, xd.dtype)
+    xf, pf, of = xd.reshape(-1), phi.reshape(-1), out.reshape(-1)
+    kernel = _gelu32 if xd.dtype == np.float32 else _gelu64
     if _splits(xd.size):
-        phi, out = np.empty(xd.shape, xd.dtype), np.empty(xd.shape, xd.dtype)
-        xf, pf, of = xd.reshape(-1), phi.reshape(-1), out.reshape(-1)
-
-        def fill(r):  # elementwise: the expressions below, in place
-            p = np.multiply(xf[r], _INV_SQRT2, out=pf[r])
-            np.multiply(0.5, np.add(1.0, erf(p, out=p), out=p), out=p)
-            np.multiply(xf[r], p, out=of[r])
-
-        _halves(xd.size, fill)
+        _halves(xd.size, lambda r: kernel(xf[r], pf[r], of[r]))
     else:
-        phi = 0.5 * (1.0 + erf(xd * _INV_SQRT2))
-        out = xd * phi
+        kernel(xf, pf, of)
 
     def bwd(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
         return (g * (phi + xd * pdf),)
 
-    return apply_op("gelu", out.astype(x.dtype, copy=False), (x,), bwd)
+    return apply_op("gelu", out, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each trailing-dim row to zero mean / unit variance, then affine."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
+    d = x.data.shape[-1]
+    if gain.data.shape != (d,) or bias.data.shape != (d,):
         raise ShapeError(f"layer_norm: x {x.shape} with gain {gain.shape}, bias {bias.shape}")
     if eps <= 0:
         raise UsageError("layer_norm: eps must be > 0")
@@ -405,9 +464,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         inv = 1.0 / np.sqrt(var + eps)
         xhat = centred * inv
         out = xhat * gain.data + bias.data
-    axes = tuple(range(x.data.ndim - 1))
 
     def bwd(g):
+        axes = tuple(range(g.ndim - 1))
         gxhat = g * gain.data
         gmean = np.add.reduce(gxhat, axis=-1, keepdims=True) / d
         gdot = np.add.reduce(gxhat * xhat, axis=-1, keepdims=True) / d

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -16,6 +19,8 @@ from afp.represent import pool
 
 from test_checkpoint import oversized_record
 from test_training import poison_third_call
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 TINY = {
     "model": {"vocab_size": 33, "d_model": 16, "n_layers": 2, "n_heads": 2, "d_ff": 24, "max_seq_len": 48},
@@ -343,6 +348,18 @@ class TestBadFamily:
         assert run_cli(["eval", "--checkpoint", str(ckpt), "--config", cfg, "--task", "classification"]) == 2
         assert "two different concept sequences" in capsys.readouterr().err
 
+    def test_missing_langtag_exit_2(self, trained, capsys):
+        tmp, cfg, ckpt = trained
+        rewrite_family(tmp / "corpus", lambda doc: doc["langtag"].pop("L1"))
+        assert run_cli(["eval", "--checkpoint", str(ckpt), "--config", cfg, "--task", "translation"]) == 2
+        assert "langtag" in capsys.readouterr().err
+
+    def test_non_integer_base_exit_2(self, trained, capsys):
+        tmp, cfg, ckpt = trained
+        rewrite_family(tmp / "corpus", lambda doc: doc["languages"][1].update(base=doc["languages"][1]["base"] + 0.5))
+        assert run_cli(["eval", "--checkpoint", str(ckpt), "--config", cfg, "--task", "translation"]) == 2
+        assert "base must be an integer" in capsys.readouterr().err
+
 
 OUT_OF_VOCAB = [
     ("pairs.jsonl", lambda rec: rec["src"]["tokens"].append(33)),
@@ -470,3 +487,26 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert "pairs.jsonl" in proc.stdout
+
+
+class TestRuntimeDependencies:
+    def test_cli_help_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import afp.cli\n"
+            "try:\n"
+            "    afp.cli.main(['--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "gen-corpus" in proc.stdout
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert [re.split(r"[<>=!~;\[ ]", dep)[0] for dep in project["dependencies"]] == ["numpy"]

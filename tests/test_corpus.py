@@ -99,11 +99,21 @@ BAD_FAMILIES = {
     "start-sum-off-1e-6": (lambda doc: scale(doc["start_dist"], 1 - 1e-6), "sum to 1"),
     "start-wrong-length": (lambda doc: doc["start_dist"].append(0.0), "shape"),
     "non-integer-perm": (lambda doc: doc["languages"][0].update(perm=[p + 0.2 for p in doc["languages"][0]["perm"]]), "integers"),
+    "base-fraction": (lambda doc: doc["languages"][2].update(base=doc["languages"][2]["base"] + 0.5), "base must be an integer"),
+    "base-float": (lambda doc: doc["languages"][1].update(base=float(doc["languages"][1]["base"])), "base must be an integer"),
+    # the fixture's languages are A, B and Cc, so its tags are 7, 8 and 9
+    "langtag-missing": (lambda doc: doc["langtag"].pop("B"), "langtag names"),
+    "langtag-unknown-name": (lambda doc: doc["langtag"].update(D=10), "langtag names"),
+    "langtag-duplicate": (lambda doc: doc["langtag"].update(B=doc["langtag"]["A"]), "distinct integers"),
+    "langtag-below-range": (lambda doc: doc["langtag"].update(A=C.N_SHARED_SPECIALS - 1), "distinct integers"),
+    "langtag-above-range": (lambda doc: doc["langtag"].update(Cc=C.N_SHARED_SPECIALS + 3), "distinct integers"),
+    "langtag-float": (lambda doc: doc["langtag"].update(B=8.0), "distinct integers"),
 }
 
 
 class TestFamilyValidation:
-    """validate() holds every check Generator.choice made on each draw."""
+    """validate() holds every check Generator.choice made on each draw, and
+    checks the token layout that rendering and prompts rely on."""
 
     @pytest.mark.parametrize("edit,message", BAD_FAMILIES.values(), ids=BAD_FAMILIES.keys())
     def test_rejected(self, family, edit, message):
@@ -116,6 +126,10 @@ class TestFamilyValidation:
             scale(doc["start_dist"], 1 - 1e-9)
 
         edited_family(family, edit)
+
+    def test_permuted_tags_accepted(self, family):
+        family = edited_family(family, lambda doc: doc["langtag"].update(A=9, Cc=7))
+        assert family.langtag == {"A": 9, "B": 8, "Cc": 7}
 
 
 def choice_sample_concepts(family, rng):

@@ -563,6 +563,64 @@ class TestRowSplitOps:
             T.attention(t64(q), t64(q), t64(q), padded_attention_bias(np.ones((4, 3), bool)), 2)
 
 
+def phi_oracle(x):
+    """Standard normal cdf of each element, in float64, from math.erf."""
+    return np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()])
+
+
+def gelu_and_grad(x):
+    t = Tensor(x, requires_grad=True)
+    with Graph() as g:
+        y = T.gelu(t)
+        backward(g, T.sum_all(y))
+    return y.data, t.grad
+
+
+class TestGeluKernel:
+    def test_float32_phi_within_3e_7_of_math_erf(self):
+        clamp = np.float32(4.0 * math.sqrt(2.0))
+        edges = [np.nextafter(clamp, np.float32(0)), clamp, np.nextafter(clamp, np.float32(np.inf))]
+        x = np.concatenate([np.linspace(-12.0, 12.0, 1_200_001, dtype=np.float32), edges, np.negative(edges)])
+        phi, out = np.empty_like(x), np.empty_like(x)
+        T._gelu32(x, phi, out)
+        assert np.abs(phi - phi_oracle(x)).max() <= 3e-7
+        assert phi.min() == 0.0 and phi.max() == 1.0
+        assert np.array_equal(out, x * phi)
+
+    @pytest.mark.parametrize(
+        "n", [2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 7, T.GELU_BLOCK - 1, T.GELU_BLOCK + 1, 3 * T.GELU_BLOCK + 7]
+    )
+    def test_bits_do_not_depend_on_size_offset_or_block(self, monkeypatch, n):
+        x = stream(n, "gelu-blocks").normal(size=n + 5).astype(np.float32) * 4.0
+        whole, whole_grad = gelu_and_grad(x)
+        for start in (0, 1, 5):
+            y, grad = gelu_and_grad(x[start : start + n])
+            assert np.array_equal(y, whole[start : start + n]) and np.array_equal(grad, whole_grad[start : start + n])
+        y, grad = gelu_and_grad(x[: 2 * n : 2].reshape(-1, 1))  # strided, then 2-D
+        assert np.array_equal(y.reshape(-1), whole[: 2 * n : 2]) and np.array_equal(grad.reshape(-1), whole_grad[: 2 * n : 2])
+        monkeypatch.setattr(T, "GELU_BLOCK", 7)
+        y, grad = gelu_and_grad(x[:n])
+        assert np.array_equal(y, whole[:n]) and np.array_equal(grad, whole_grad[:n])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        x = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1e30, -1e30], dtype)
+        with np.errstate(invalid="ignore"):
+            y = T.gelu(Tensor(x)).data
+        assert y.dtype == dtype and np.isnan(y[0])
+        assert y[1] == 0.0 and not np.signbit(y[1]) and y[2] == 0.0 and np.signbit(y[2])
+        assert y[3] == np.inf and np.isnan(y[4])  # -inf * Phi(-inf) = -inf * 0
+        assert y[5] == x[5] and y[6] == 0.0 and np.signbit(y[6])
+
+    def test_float64_is_math_erf_elementwise(self):
+        x = np.concatenate([stream(3, "gelu64").normal(size=257) * 3.0, [-40.0, -6.0, 1e-300, 6.0, 40.0]])
+        phi, out = np.empty_like(x), np.empty_like(x)
+        T._gelu64(x, phi, out)
+        expected = [0.5 * (1.0 + math.erf(v * (1.0 / math.sqrt(2.0)))) for v in x.tolist()]
+        assert np.array_equal(phi, expected)
+        assert np.array_equal(T.gelu(t64(x)).data, x * phi)
+
+
 class TestTensorBasics:
     def test_flat_row_major_invariant(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
