@@ -4,10 +4,11 @@ Tensors hold flat row-major float32/float64 buffers (numpy arrays). Ops run
 eagerly; when a Graph is active and an input requires gradients, the op is
 recorded on the tape. backward() replays the tape in reverse, which fixes a
 single deterministic accumulation order. Broadcasting is deliberately limited
-to trailing-dimension bias adds and row-wise ops. Large GELU, layer-norm and
-attention ops split their rows across two threads (run_lanes) without
-changing a bit. GELU computes its Gaussian cdf with numpy alone: a blocked
-float32 rational kernel, and libm's erf in float64.
+to trailing-dimension bias adds and row-wise ops. backward() frees each
+node's saved arrays as soon as it has been processed. run_lanes runs two
+independent pieces of work on two threads. GELU computes its Gaussian cdf
+with numpy alone: a blocked float32 rational kernel, and libm's erf in
+float64.
 """
 
 import contextvars
@@ -76,7 +77,7 @@ class Tensor:
     updates on parameter leaves between graphs).
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -165,14 +166,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Smallest input of GELU or layer norm, or attention score array, in
-# elements, that runs as _halves on the two lanes. On a 2-core x86 box the
-# lane hand-off costs 30-80 us and a GELU alone broke even at 16k-80k
-# elements; but in a desk training step, splitting its 172k-element GELUs
-# saved nothing end to end, while the held-out diagnostics ran as fast at
-# 2**18 as at 2**16.
-SPLIT_ELEMENTS = 2**18
-
 # Two lanes: the calling thread plus one worker thread, started on first use.
 # numpy ufuncs and BLAS release the GIL, so the lanes overlap.
 LANES = min(2, _usable_cpus())
@@ -229,21 +222,6 @@ def _taped(fn) -> tuple:
     return out, g.nodes
 
 
-def _splits(size: int) -> bool:
-    """Whether an op over `size` elements runs as _halves."""
-    return size >= SPLIT_ELEMENTS and LANES > 1 and not _lane_busy.locked()
-
-
-def _halves(n: int, fill) -> None:
-    """fill(r) for the two halves r of range(n), one on each lane.
-
-    fill writes in place into preallocated outputs, so the worker lane
-    allocates little; output i must depend on input i alone, through the
-    numpy calls of the op's whole-array path, so the halves give its bits.
-    """
-    run_lanes(lambda: fill(slice(0, n // 2)), lambda: fill(slice(n // 2, n)))
-
-
 def apply_op(op: str, out_data: np.ndarray, inputs: tuple, backward) -> Tensor:
     """Wrap an eagerly computed result, recording it on the active tape.
 
@@ -265,12 +243,19 @@ def apply_op(op: str, out_data: np.ndarray, inputs: tuple, backward) -> Tensor:
 
 
 def backward(graph: Graph, root: Tensor) -> None:
-    """Populate .grad = d(root)/d(tensor) for every requires_grad tensor on the tape.
+    """Populate .grad = d(root)/d(leaf) for every requires_grad leaf of the tape.
 
     Accumulation follows reverse tape order, so repeated runs are bit-identical.
+    Each node lets go of its inputs, its output's gradient and its backward
+    rule (with the arrays it saved) as soon as it has been processed, so the
+    pass frees activations as it goes. Gradients persist on leaves only: an
+    op output's .grad is None afterwards, and graph.nodes keeps only the op
+    names. A tape can therefore be differentiated once.
     """
     if root.data.shape != ():
         raise UsageError(f"backward root must be scalar, got shape {root.data.shape}")
+    if graph.nodes and graph.nodes[-1].backward is None:
+        raise UsageError("backward: this tape was already differentiated")
     seen = set()
     for node in graph.nodes:
         for t in (node.out,) + node.inputs:
@@ -279,14 +264,12 @@ def backward(graph: Graph, root: Tensor) -> None:
                 t.grad = None
     root.grad = np.ones((), dtype=root.data.dtype)
     for node in reversed(graph.nodes):
-        gout = node.out.grad
-        if gout is None:
-            continue
-        gins = node.backward(gout)
-        for t, gin in zip(node.inputs, gins):
-            if gin is None or not t.requires_grad:
-                continue
-            t.grad = gin if t.grad is None else t.grad + gin
+        gout, node.out.grad = node.out.grad, None
+        if gout is not None:
+            for t, gin in zip(node.inputs, node.backward(gout)):
+                if gin is not None and t.requires_grad:
+                    t.grad = gin if t.grad is None else t.grad + gin
+        node.inputs = node.out = node.backward = None
 
 
 def _binary_check(op: str, a: Tensor, b: Tensor) -> None:
@@ -396,7 +379,7 @@ def _gelu32(x: np.ndarray, phi: np.ndarray, out: np.ndarray) -> None:
     """phi = Phi(x) and out = x * phi over flat float32 arrays, GELU_BLOCK elements at a time.
 
     Only +, *, /, min and max, each exact or correctly rounded elementwise,
-    so an element's bits do not depend on where blocks or lane halves cut.
+    so an element's bits do not depend on where blocks or row chunks cut.
     """
     m = min(x.size, GELU_BLOCK)
     c_buf, t_buf, q_buf = np.empty(m, np.float32), np.empty(m, np.float32), np.empty(m, np.float32)
@@ -422,12 +405,8 @@ def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian error linear unit: x * Phi(x), Phi the standard normal cdf."""
     xd = x.data
     phi, out = np.empty(xd.shape, xd.dtype), np.empty(xd.shape, xd.dtype)
-    xf, pf, of = xd.reshape(-1), phi.reshape(-1), out.reshape(-1)
     kernel = _gelu32 if xd.dtype == np.float32 else _gelu64
-    if _splits(xd.size):
-        _halves(xd.size, lambda r: kernel(xf[r], pf[r], of[r]))
-    else:
-        kernel(xf, pf, of)
+    kernel(xd.reshape(-1), phi.reshape(-1), out.reshape(-1))
 
     def bwd(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT2PI
@@ -443,27 +422,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(f"layer_norm: x {x.shape} with gain {gain.shape}, bias {bias.shape}")
     if eps <= 0:
         raise UsageError("layer_norm: eps must be > 0")
-    if x.data.ndim > 1 and _splits(x.size):
-        inv = np.empty(x.shape[:-1] + (1,), x.dtype)
-        xhat, out = np.empty(x.shape, x.dtype), np.empty(x.shape, x.dtype)
-
-        def fill(r):  # row by row: the expressions below, in place
-            xr, c, o = x.data[r], xhat[r], out[r]
-            np.subtract(xr, np.add.reduce(xr, axis=-1, keepdims=True) / d, out=c)
-            var = np.add.reduce(np.multiply(c, c, out=o), axis=-1, keepdims=True) / d
-            np.multiply(c, np.divide(1.0, np.sqrt(var + eps), out=inv[r]), out=c)
-            np.add(np.multiply(c, gain.data, out=o), bias.data, out=o)
-
-        _halves(len(x.data), fill)
-    else:
-        # np.add.reduce(...) / d is what np.mean and np.var compute, bit for
-        # bit, without their Python-level overhead; the centred array is
-        # built once.
-        centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-        var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = centred * inv
-        out = xhat * gain.data + bias.data
+    # np.add.reduce(...) / d is what np.mean and np.var compute, bit for bit,
+    # without their Python-level overhead; the centred array is built once.
+    centred = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    var = np.add.reduce(centred * centred, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+    out = xhat * gain.data + bias.data
 
     def bwd(g):
         axes = tuple(range(g.ndim - 1))
@@ -514,32 +479,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
     q3 = q.data.reshape(b, s, h, dh).transpose(0, 2, 1, 3).reshape(b * h, s, dh)
     kt3 = k.data.reshape(b, sk, h, dh).transpose(0, 2, 3, 1).reshape(b * h, dh, sk)
     v3 = v.data.reshape(b, sk, h, dh).transpose(0, 2, 1, 3).reshape(b * h, sk, dh)
-    if _splits(b * h * s * sk):
-        w, ctx = np.empty((b * h, s, sk), q.dtype), np.empty((b * h, s, dh), q.dtype)
-
-        def heads(a, r):  # the (row, head) matrices of batch rows r
-            return a.reshape(b, h, *a.shape[1:])[r].reshape(-1, *a.shape[1:])
-
-        def fill(r):  # batch row by batch row: the expressions below, in place
-            wr = np.matmul(heads(q3, r), heads(kt3, r), out=heads(w, r))
-            np.multiply(wr, np.asarray(c, dtype=q.dtype), out=wr)
-            scores = wr.reshape(-1, h, s, sk)
-            np.add(scores, bias[r], out=scores)
-            if np.isnan(wr).any():
-                raise NumericError("attention: NaN in scores")
-            np.exp(np.subtract(wr, wr.max(axis=-1, keepdims=True), out=wr), out=wr)
-            np.divide(wr, wr.sum(axis=-1, keepdims=True), out=wr)
-            np.matmul(wr, heads(v3, r), out=heads(ctx, r))
-
-        _halves(b, fill)
-    else:
-        scores = ((q3 @ kt3) * np.asarray(c, dtype=q.dtype)).reshape(b, h, s, sk) + bias
-        if np.isnan(scores).any():
-            raise NumericError("attention: NaN in scores")
-        scores = scores.reshape(b * h, s, sk)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        w = e / e.sum(axis=-1, keepdims=True)
-        ctx = w @ v3
+    scores = ((q3 @ kt3) * np.asarray(c, dtype=q.dtype)).reshape(b, h, s, sk) + bias
+    if np.isnan(scores).any():
+        raise NumericError("attention: NaN in scores")
+    scores = scores.reshape(b * h, s, sk)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    ctx = w @ v3
     out = ctx.reshape(b, h, s, dh).transpose(0, 2, 1, 3).reshape(b * s, d)
 
     def bwd(g):

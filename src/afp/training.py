@@ -171,6 +171,7 @@ def train(
                 if not np.isfinite(value):
                     raise NumericError(f"non-finite loss {value}")
                 backward(g, loss)
+            del g, loss  # the tape, before AdamW, diagnostics and checkpoints
             grads = {name: p.grad for name, p in params.named() if p.grad is not None}
             adamw_step(
                 params,

@@ -1,11 +1,13 @@
 import math
-import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from afp import model as M
 from afp import tensor as T
-from afp.errors import ConfigError, ShapeError, UsageError
+from afp.config import RunConfig
+from afp.errors import ConfigError, NumericError, ShapeError, UsageError
 from afp.gradcheck import grad_error
 from afp.model import ForwardResult, KVCache, ModelConfig, forward, init_params, param_shapes, sequence_nll
 from afp.rng import stream
@@ -146,57 +148,115 @@ def same_forward(a, b):
 
 
 @pytest.fixture()
-def lane_calls(monkeypatch):
-    """Two lanes whatever the CPU count; records the thread of every run_lanes call."""
-    monkeypatch.setattr(T, "LANES", 2)
+def chunk_calls(monkeypatch):
+    """Records the row count of every one-piece forward that model.forward runs."""
     calls = []
-    real = T.run_lanes
+    real = M._forward
 
-    def spy(first, second):
-        calls.append(threading.get_ident())
-        return real(first, second)
+    def spy(params, tokens, *args):
+        calls.append(len(tokens))
+        return real(params, tokens, *args)
 
-    monkeypatch.setattr(T, "run_lanes", spy)
+    monkeypatch.setattr(M, "_forward", spy)
     return calls
 
 
-def one_lane_forward(monkeypatch, *args, **kwargs):
+def unchunked_forward(monkeypatch, *args, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(T, "LANES", 1)
+        m.setattr(M, "CHUNK_POSITIONS", 10**9)
         return forward(*args, **kwargs)
 
 
-# (32, 64, 100) is a shape whose BLAS products, split by rows, differ in the
-# last bits on a 2-core x86 box; the split row-wise ops must not.
-SPLIT_MODELS = [CFG, ModelConfig(vocab_size=100, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=12)]
+def close_forward(a, b, rel):
+    arrays = [(x.data, y.data) for x, y in zip(a.hidden_states, b.hidden_states)]
+    arrays += [] if a.logits is None else [(a.logits.data, b.logits.data)]
+    return (
+        len(a.hidden_states) == len(b.hidden_states)
+        and (a.logits is None) == (b.logits is None)
+        and all(x.dtype == y.dtype and np.abs(x - y).max() <= rel * np.abs(y).max() for x, y in arrays)
+    )
 
 
-class TestTwoLaneForward:
+# The default run config's model, whose float32 products keep their bits in
+# pieces of two or more rows under OpenBLAS, and a d32 model with a
+# (32, 64, 100) product whose rows can differ in the last bits by piece size.
+CHUNK_MODELS = [RunConfig().model, ModelConfig(vocab_size=100, d_model=32, n_layers=2, n_heads=4, d_ff=64, max_seq_len=12)]
+# case -> (rows, positions per row, one-piece row counts with chunks of 3 rows)
+CHUNK_CASES = {
+    "right-padded": (32, 12, [3] * 10 + [2]),
+    "odd-batch": (7, 12, [3, 3, 1]),
+    "s1-remainder": (7, 1, [3, 4]),  # the lone last position folds into the chunk before
+}
+
+
+class TestChunkedForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("cfg", SPLIT_MODELS, ids=["tiny", "d32"])
-    @pytest.mark.parametrize("case", ["right-padded", "odd-batch", "single-row"])
-    def test_split_ops_equal_one_lane_bit_for_bit(self, monkeypatch, lane_calls, dtype, cfg, case):
-        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)  # split every row-wise op
+    @pytest.mark.parametrize("cfg", CHUNK_MODELS, ids=["desk", "d32"])
+    @pytest.mark.parametrize("case", list(CHUNK_CASES))
+    def test_chunked_equals_unchunked(self, monkeypatch, chunk_calls, dtype, cfg, case):
+        b, s, chunks = CHUNK_CASES[case]
+        monkeypatch.setattr(M, "CHUNK_POSITIONS", 3 * s)
         rng = stream(31, case)
-        b = {"right-padded": 32, "odd-batch": 7, "single-row": 1}[case]
-        tokens = rand_tokens(rng, b, cfg.max_seq_len, cfg.vocab_size)
-        pad = np.ones(tokens.shape, dtype=bool)
-        if case == "right-padded":
-            pad = np.arange(cfg.max_seq_len)[None, :] < rng.integers(1, cfg.max_seq_len + 1, size=(b, 1))
+        tokens = rand_tokens(rng, b, s, cfg.vocab_size)
+        pad = np.arange(s)[None, :] < rng.integers(1, s + 1, size=(b, 1)) if case == "right-padded" else None
         params = init_params(cfg, seed=9, dtype=dtype)
         for layer in [*range(cfg.n_layers + 1), None]:
-            lane_calls.clear()
+            chunk_calls.clear()
             got = forward(params, tokens, pad, upto_layer=layer)
-            assert same_forward(got, one_lane_forward(monkeypatch, params, tokens, pad, upto_layer=layer))
-            assert bool(lane_calls) == (layer != 0)  # ops split even at b == 1
+            assert chunk_calls == chunks
+            want = unchunked_forward(monkeypatch, params, tokens, pad, upto_layer=layer)
+            if cfg is CHUNK_MODELS[0] and dtype == np.float32:
+                assert same_forward(got, want)
+            else:
+                assert close_forward(got, want, 1e-6)
 
-    def test_batch_below_the_threshold_is_not_split(self, monkeypatch, lane_calls):
+    def test_batch_below_the_threshold_is_not_chunked(self, chunk_calls):
         params = init_params(CFG, seed=9)
-        tokens = rand_tokens(stream(32, "small"), 4, CFG.max_seq_len)
-        assert 4 * CFG.d_ff * CFG.max_seq_len < T.SPLIT_ELEMENTS
-        got = forward(params, tokens)
-        assert lane_calls == []
-        assert same_forward(got, one_lane_forward(monkeypatch, params, tokens))
+        tokens = rand_tokens(stream(32, "small"), M.CHUNK_POSITIONS // CFG.max_seq_len, CFG.max_seq_len)
+        forward(params, tokens)
+        assert chunk_calls == [len(tokens)]
+
+    def test_cache_and_recording_paths_never_chunk(self, monkeypatch, chunk_calls):
+        monkeypatch.setattr(M, "CHUNK_POSITIONS", 2)
+        params = init_params(CFG, seed=9)
+        tokens = rand_tokens(stream(33, "unchunked"), 4, CFG.max_seq_len)
+        with Graph():
+            forward(params, tokens)
+        forward(params, tokens[:1], cache=KVCache(params))
+        assert chunk_calls == [4, 1]
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_nan_in_the_last_chunk_raises(self, monkeypatch, chunk_calls, checked):
+        monkeypatch.setattr(M, "CHUNK_POSITIONS", 3 * CFG.max_seq_len)
+        params = init_params(CFG, seed=9)
+        nan_token = CFG.vocab_size - 1
+        params["tok_emb"].data[nan_token, 0] = np.nan
+        tokens = rand_tokens(stream(34, "nan"), 7, CFG.max_seq_len, nan_token)
+        tokens[6, 5] = nan_token  # only the last chunk, row 6, sees it
+        T.set_checked(checked)
+        try:
+            with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="embedding" if checked else "attention: NaN"):
+                forward(params, tokens)
+        finally:
+            T.set_checked(False)
+        assert chunk_calls == [3, 3, 1]
+
+    def test_traced_peak_is_the_output_plus_a_few_chunks(self, monkeypatch):
+        cfg = RunConfig().model
+        chunk = 128
+        monkeypatch.setattr(M, "CHUNK_POSITIONS", chunk)
+        params = init_params(cfg, seed=9)
+        tokens = rand_tokens(stream(35, "peak"), 8 * chunk // 16, 16, cfg.vocab_size)
+        tracemalloc.start()
+        try:
+            res = forward(params, tokens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(t.data.nbytes for t in res.hidden_states) + res.logits.data.nbytes
+        # one chunk's outputs plus its widest activation, an MLP GELU input
+        chunk_bytes = chunk * 4 * ((cfg.n_layers + 1) * cfg.d_model + cfg.vocab_size + cfg.d_ff)
+        assert peak <= out_bytes + 4 * chunk_bytes
 
 
 class TestKVCache:

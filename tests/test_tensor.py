@@ -284,6 +284,21 @@ class TestBackward:
             backward(g, root)
         np.testing.assert_allclose(x.grad, [8.0], atol=1e-12)
 
+    def test_tape_released_gradients_kept_on_leaves(self):
+        x = t64([1.0, -2.0], requires_grad=True)
+        w = t64([0.5, 3.0], requires_grad=True)
+        with Graph() as g:
+            y = T.mul(x, w)
+            z = T.gelu(y)
+            root = T.sum_all(T.add(z, y))
+            backward(g, root)
+        assert x.grad is not None and w.grad is not None
+        assert y.grad is None and z.grad is None and root.grad is None
+        assert [n.op for n in g.nodes] == ["mul", "gelu", "add", "sum_all"]
+        assert all(n.inputs is None and n.out is None and n.backward is None for n in g.nodes)
+        with pytest.raises(UsageError, match="already differentiated"):
+            backward(g, root)
+
     def test_repeated_backward_is_fresh(self):
         x = t64([3.0], requires_grad=True)
         for _ in range(2):
@@ -513,54 +528,59 @@ class TestRunLanes:
 
 
 class TestRowSplitOps:
+    """The row-wise ops give each row the bits it gets in the whole batch, as chunked forwards need."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rows", [2, 3, 17, 64])
-    def test_split_equals_whole_with_gradients(self, monkeypatch, dtype, rows):
+    def test_split_equals_whole_with_gradients(self, dtype, rows):
         rng = stream(rows, "split-ops")
         s, d, heads = 6, 24, 4
         pad = np.arange(s)[None, :] < rng.integers(1, s + 1, size=(rows, 1))
-        arrays = [rng.normal(size=shape).astype(dtype) * 3.0 for shape in [(rows * s, d), (rows, s, d), (rows * s, d), (d,), (d,)]]
-        real = T.run_lanes
+        x2, x3, qkv = (rng.normal(size=shape).astype(dtype) * 3.0 for shape in [(rows * s, d), (rows, s, d), (rows * s, d)])
+        gain, bias = (Tensor(rng.normal(size=d).astype(dtype)) for _ in range(2))
+        weights = np.cos(np.arange(rows * s * d, dtype=dtype)).reshape(rows, s * d)
 
-        def run(lanes, calls):
-            monkeypatch.setattr(T, "LANES", lanes)
-            monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)  # split every op
-            monkeypatch.setattr(T, "run_lanes", lambda a, b: calls.append(1) or real(a, b))
-            x2, x3, qkv, gain, bias = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        def run(r):  # outputs and input gradients of batch rows r, on a tape of their own
+            n = len(weights[r])
+            ins = [Tensor(a.copy(), requires_grad=True) for a in (x2.reshape(rows, -1)[r].reshape(-1, d), x3[r], qkv.reshape(rows, -1)[r].reshape(-1, d))]
             with Graph() as g:
                 outs = [
-                    T.gelu(x2),
-                    T.gelu(x3),
-                    T.layer_norm(x3, gain, bias),
-                    T.layer_norm(x2, gain, bias),
-                    T.attention(qkv, qkv, qkv, padded_attention_bias(pad, dtype), heads),
+                    T.gelu(ins[0]),
+                    T.gelu(ins[1]),
+                    T.layer_norm(ins[1], gain, bias),
+                    T.layer_norm(ins[0], gain, bias),
+                    T.attention(ins[2], ins[2], ins[2], padded_attention_bias(pad[r], dtype), heads),
                 ]
-                total = T.reshape(outs[0], (rows * s, d))
+                total = T.reshape(outs[0], (n * s, d))
                 for o in outs[1:]:
-                    total = T.add(total, T.reshape(o, (rows * s, d)))
-                weights = Tensor(np.cos(np.arange(rows * s * d, dtype=dtype)).reshape(rows * s, d))
-                backward(g, T.sum_all(T.mul(total, weights)))
-            return [o.data for o in outs] + [t.grad for t in (x2, x3, qkv, gain, bias)]
+                    total = T.add(total, T.reshape(o, (n * s, d)))
+                backward(g, T.sum_all(T.mul(total, Tensor(weights[r].reshape(n * s, d)))))
+            return [a.reshape(n, -1) for a in [o.data for o in outs] + [t.grad for t in ins]]
 
-        whole_calls, split_calls = [], []
-        whole, split = run(1, whole_calls), run(2, split_calls)
-        assert whole_calls == [] and len(split_calls) == 5
-        assert all(a.dtype == b.dtype == dtype and np.array_equal(a, b) for a, b in zip(whole, split))
+        whole = run(slice(None))
+        bounds = [*range(0, rows, max(rows // 3, 1)), rows]
+        pieces = [run(slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        assert len(pieces) >= 2
+        for i, want in enumerate(whole):
+            got = np.concatenate([p[i] for p in pieces])
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("shape", [(1, 9), (11,), (8, 6)])
-    def test_gelu_splits_by_element(self, two_lanes, monkeypatch, shape):
-        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)
+    def test_gelu_splits_by_element(self, shape):
         data = stream(5, "split-gelu").normal(size=shape[::-1]).T  # non-contiguous when 2-D
-        got = T.gelu(Tensor(data)).data
-        monkeypatch.setattr(T, "LANES", 1)
-        assert np.array_equal(got, T.gelu(Tensor(data)).data)
+        whole = T.gelu(Tensor(data)).data.reshape(-1)
+        flat = data.reshape(-1)
+        for cut in (1, flat.size // 2, flat.size - 1):
+            got = np.concatenate([T.gelu(Tensor(flat[:cut])).data, T.gelu(Tensor(flat[cut:])).data])
+            assert np.array_equal(got, whole)
 
-    def test_nan_score_in_a_split_attention(self, two_lanes, monkeypatch):
-        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)
+    def test_nan_score_in_a_split_attention(self):
         q = np.ones((4 * 3, 8))
-        q[10, 0] = np.nan  # batch row 3: the worker's half
+        q[10, 0] = np.nan  # batch row 3
+        pad = np.ones((4, 3), bool)
+        assert T.attention(t64(q[:6]), t64(q[:6]), t64(q[:6]), padded_attention_bias(pad[:2]), 2).shape == (6, 8)
         with pytest.raises(NumericError, match="attention: NaN"):
-            T.attention(t64(q), t64(q), t64(q), padded_attention_bias(np.ones((4, 3), bool)), 2)
+            T.attention(t64(q[6:]), t64(q[6:]), t64(q[6:]), padded_attention_bias(pad[2:]), 2)
 
 
 def phi_oracle(x):

@@ -2,13 +2,16 @@ import dataclasses
 import json
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from afp import corpus as C
 from afp import losses
+from afp import model as M
 from afp import tensor as T
+from afp import training
 from afp.config import CorpusConfig, EvalConfig, RunConfig, TrainConfig
 from afp.errors import TrainingError, UsageError
 from afp.losses import cif_loss
@@ -198,20 +201,38 @@ class TestTrain:
         with pytest.raises(UsageError, match="held-out"):
             heldout_metrics(params, corpus, cfg.train, step=0)
 
-    def test_heldout_metrics_with_split_gelus_equal_one_lane(self, tiny_corpus, monkeypatch):
+    def test_heldout_metrics_chunked_equal_unchunked(self, tiny_corpus, monkeypatch):
         cfg = tiny_run_config()
         params = init_params(cfg.model, seed=cfg.seed)
-        monkeypatch.setattr(T, "SPLIT_ELEMENTS", 0)  # split every GELU
         calls = []
-        real = T.run_lanes
-        monkeypatch.setattr(T, "run_lanes", lambda a, b: calls.append(1) or real(a, b))
+        real = M._forward
+        monkeypatch.setattr(M, "_forward", lambda params, tokens, *a: calls.append(len(tokens)) or real(params, tokens, *a))
         reports = {}
-        for lanes in (1, 2):
-            monkeypatch.setattr(T, "LANES", lanes)
+        for chunk in (40, 10**9):  # a few rows per chunk, then one piece
+            monkeypatch.setattr(M, "CHUNK_POSITIONS", chunk)
             calls.clear()
-            reports[lanes] = heldout_metrics(params, tiny_corpus, cfg.train, step=0).to_json()
-            assert bool(calls) == (lanes == 2)
-        assert reports[1] == reports[2]
+            reports[chunk] = heldout_metrics(params, tiny_corpus, cfg.train, step=0).to_json()
+            assert (len(calls) > 3) == (chunk == 40)
+        assert reports[40] == reports[10**9]
+
+    def test_no_tape_tensor_alive_when_adamw_runs(self, tiny_corpus, monkeypatch):
+        tapes, alive = [], []
+        real_backward, real_adamw = training.backward, training.adamw_step
+
+        def spy_backward(g, root):
+            tapes.append([weakref.ref(n.out) for n in g.nodes])
+            real_backward(g, root)
+
+        def spy_adamw(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in tapes[-1]))
+            return real_adamw(*args, **kwargs)
+
+        monkeypatch.setattr(training, "backward", spy_backward)
+        monkeypatch.setattr(training, "adamw_step", spy_adamw)
+        cfg = tiny_run_config(steps=3, eval_every=2)
+        train(cfg.model, cfg.train, tiny_corpus, seed=cfg.seed)
+        assert len(tapes) == 3 and all(tapes)
+        assert alive == [0, 0, 0]
 
     def test_mcl_only_mode_runs(self, tiny_corpus):
         cfg = tiny_run_config(steps=4, eval_every=2, alpha=0.0)
