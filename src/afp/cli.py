@@ -22,6 +22,7 @@ from .errors import AfpError, CheckpointError, ConfigError, TrainingError, Usage
 from .evaluate import PairClassificationTask, Template, classification_eval, translation_eval
 from .gradcheck import REL_TOL, loss_gradcheck
 from .losses import embed
+from .model import ModelConfig
 from .represent import POOLING_METHODS, pca2, retrieval_acc_at_1
 from .training import (
     SWEEP_KINDS,
@@ -62,21 +63,25 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _in_vocab(parser, vocab_size: int):
-    """parser, then a check that every token id of the record is in [0, vocab_size)."""
+def _fits(parser, model: ModelConfig):
+    """parser, then a check that the record fits the model: every token id in
+    [0, vocab_size), and no pair side or CIF sample longer than max_seq_len."""
 
     def parse(obj):
         rec = parser(obj)
-        ids = rec.input_tokens if isinstance(rec, C.CifSample) else rec.src_tokens + rec.tgt_tokens
-        bad = [t for t in ids if not 0 <= t < vocab_size]
+        seqs = [rec.input_tokens] if isinstance(rec, C.CifSample) else [rec.src_tokens, rec.tgt_tokens]
+        bad = [t for seq in seqs for t in seq if not 0 <= t < model.vocab_size]
         if bad:
-            raise ConfigError(f"token id {bad[0]} outside the model's vocabulary [0, {vocab_size})")
+            raise ConfigError(f"token id {bad[0]} outside the model's vocabulary [0, {model.vocab_size})")
+        longest = max(len(seq) for seq in seqs)
+        if longest > model.max_seq_len:
+            raise ConfigError(f"{longest} tokens exceed the model's max_seq_len {model.max_seq_len}")
         return rec
 
     return parse
 
 
-def _load_corpus_dir(corpus_dir: str, vocab_size: int) -> CorpusHandles:
+def _load_corpus_dir(corpus_dir: str, model: ModelConfig) -> CorpusHandles:
     for name in CORPUS_FILES:
         if not os.path.exists(os.path.join(corpus_dir, name)):
             raise UsageError(f"missing corpus file {name!r} in {corpus_dir!r}; run gen-corpus first")
@@ -88,7 +93,7 @@ def _load_corpus_dir(corpus_dir: str, vocab_size: int) -> CorpusHandles:
             raise CheckpointError(f"{path}: {exc}") from None
 
     def load(name, parser):
-        return C.load_jsonl(os.path.join(corpus_dir, name), _in_vocab(parser, vocab_size))
+        return C.load_jsonl(os.path.join(corpus_dir, name), _fits(parser, model))
 
     return CorpusHandles(
         family=family,
@@ -102,7 +107,7 @@ def _load_corpus_dir(corpus_dir: str, vocab_size: int) -> CorpusHandles:
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     corpus_dir = args.corpus_dir or cfg.paths.corpus_dir
-    handles = _load_corpus_dir(corpus_dir, cfg.model.vocab_size)
+    handles = _load_corpus_dir(corpus_dir, cfg.model)
     run_dir = args.out or cfg.paths.run_dir
     os.makedirs(run_dir, exist_ok=True)
     try:
@@ -142,7 +147,7 @@ def cmd_eval(args) -> int:
         return 2
     config_digest = hashlib.sha256(dumps_config(cfg).encode("utf-8")).hexdigest()
     params = load_params(args.checkpoint, cfg.model)
-    handles = _load_corpus_dir(args.corpus_dir or cfg.paths.corpus_dir, cfg.model.vocab_size)
+    handles = _load_corpus_dir(args.corpus_dir or cfg.paths.corpus_dir, cfg.model)
     ev = cfg.eval
 
     if args.task == "metrics":
@@ -195,7 +200,7 @@ def cmd_export_embeddings(args) -> int:
     params = load_params(args.checkpoint, cfg.model)
     layer = args.layer if args.layer is not None else cfg.train.align_layer
     pooling = args.pooling or cfg.train.pooling
-    pairs = C.load_jsonl(args.corpus, _in_vocab(C.TranslationPair.from_json, cfg.model.vocab_size))
+    pairs = C.load_jsonl(args.corpus, _fits(C.TranslationPair.from_json, cfg.model))
     if not pairs:
         raise UsageError(f"no pair records in {args.corpus!r}")
     sentences = [(p.src_lang, p.src_tokens) for p in pairs] + [(p.tgt_lang, p.tgt_tokens) for p in pairs]

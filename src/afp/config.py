@@ -134,21 +134,34 @@ _SECTIONS = {
 }
 
 
+def _check_type(value, kind, where: str) -> None:
+    """ConfigError unless value has the field type `kind`: an int or float
+    field takes no bool, and a float field also takes an int."""
+    if isinstance(value, bool) and kind is not bool:
+        ok = False
+    elif kind is float:
+        ok = isinstance(value, (int, float))
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{where} must be {kind.__name__}, got {value!r}")
+
+
 def _build_section(cls, obj: dict, where: str, default):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(obj) - names
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(obj) - set(fields)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    try:
-        return dataclasses.replace(default, **obj)
-    except TypeError as exc:
-        raise ConfigError(f"bad {where} section: {exc}") from exc
+    for name, value in obj.items():
+        _check_type(value, fields[name], f"{where}.{name}")
+    return dataclasses.replace(default, **obj)
 
 
 def config_from_dict(obj: dict, env: dict | None = None) -> RunConfig:
     """Validate a raw JSON dict; AFP_SEED applies only when 'seed' is absent.
 
-    Omitted keys take the documented defaults; unknown keys are rejected.
+    Omitted keys take the documented defaults; unknown keys and values of
+    the wrong type are rejected.
     """
     env = os.environ if env is None else env
     unknown = set(obj) - (set(_SECTIONS) | {"seed"})
@@ -162,10 +175,18 @@ def config_from_dict(obj: dict, env: dict | None = None) -> RunConfig:
             raise ConfigError(f"section {name!r} must be an object")
         kwargs[name] = _build_section(cls, section, name, getattr(defaults, name))
     if "seed" in obj:
-        kwargs["seed"] = int(obj["seed"])
+        seed = obj["seed"]
+        _check_type(seed, int, "seed")
     elif ENV_SEED in env:
-        kwargs["seed"] = int(env[ENV_SEED])
-    return RunConfig(**kwargs)
+        try:
+            seed = int(env[ENV_SEED])
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED} must be an integer, got {env[ENV_SEED]!r}") from None
+    else:
+        seed = defaults.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return RunConfig(seed=seed, **kwargs)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

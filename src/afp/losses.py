@@ -17,14 +17,6 @@ from .represent import PooledBatch, pool
 from .tensor import Tensor
 
 
-# Smallest pair batch, in source positions times blocks run, whose two sides
-# afp_loss embeds on two lanes. Small ops leave the lanes waiting on each
-# other for the GIL: on a 2-core x86 box, a desk step (32 pairs of width 8 at
-# block 1, so 256) ran 4% slower on two lanes, while 64 such pairs (512) or
-# 32 at block 4 ran 7-9% faster.
-PAIR_LANE_WORK = 512
-
-
 def _infonce(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
     an = T.l2_normalize_rows(anchors)
     pn = T.l2_normalize_rows(positives)
@@ -72,19 +64,14 @@ def afp_loss(
 ) -> tuple[Tensor, dict]:
     """Combined loss L_MCL + alpha * L_CIF.
 
-    Anchors/positives are embedded at config.align_layer from the source and
-    target sides of the pair batch; for a batch of PAIR_LANE_WORK or more,
-    the target side runs on the second lane of T.run_lanes, which leaves the
-    tape as a one-lane run would record it.
+    Anchors and positives are embedded at config.align_layer from the source
+    side of the pair batch, then from its target side, on the calling thread.
     At alpha = 0 the loss is L_MCL alone and the CIF forward is skipped.
     Returns (total, components) with float components for logging; "cif" is
     present only when CIF was computed.
     """
-    def side(tokens, pad):
-        return lambda: embed(params, tokens, pad, config.align_layer, config.pooling)
-
-    src, tgt = side(mcl_batch.src_tokens, mcl_batch.src_pad), side(mcl_batch.tgt_tokens, mcl_batch.tgt_pad)
-    h, h_plus = T.run_lanes(src, tgt) if mcl_batch.src_tokens.size * config.align_layer >= PAIR_LANE_WORK else (src(), tgt())
+    h = embed(params, mcl_batch.src_tokens, mcl_batch.src_pad, config.align_layer, config.pooling)
+    h_plus = embed(params, mcl_batch.tgt_tokens, mcl_batch.tgt_pad, config.align_layer, config.pooling)
     mcl = mcl_loss(h, h_plus, config.tau, symmetric=config.symmetric_mcl)
     if config.alpha == 0:
         return mcl, {"mcl": mcl.item()}

@@ -35,13 +35,13 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.max_seq_len < 2:
             raise ConfigError("max_seq_len must be >= 2")
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:

@@ -5,17 +5,13 @@ eagerly; when a Graph is active and an input requires gradients, the op is
 recorded on the tape. backward() replays the tape in reverse, which fixes a
 single deterministic accumulation order. Broadcasting is deliberately limited
 to trailing-dimension bias adds and row-wise ops. backward() frees each
-node's saved arrays as soon as it has been processed. run_lanes runs two
-independent pieces of work on two threads. GELU computes its Gaussian cdf
-with numpy alone: a blocked float32 rational kernel, and libm's erf in
-float64.
+node's saved arrays as soon as it has been processed. Every op runs on the
+calling thread. GELU computes its Gaussian cdf with numpy alone: a blocked
+float32 rational kernel, and libm's erf in float64.
 """
 
-import contextvars
 import math
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -132,8 +128,8 @@ def _stack() -> list:
 class Graph:
     """Tape of ops in execution order (a topological order by construction).
 
-    Confined to the thread that opened it; concurrent threads each get their
-    own active-graph stack, so graph-free forwards can run in parallel.
+    Confined to the thread that opened it: each thread has its own
+    active-graph stack, so a thread never records on another's tape.
     """
 
     def __init__(self):
@@ -157,69 +153,6 @@ def _active() -> Graph | None:
 def recording() -> bool:
     """True while a Graph is open on this thread."""
     return bool(_stack())
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        return os.cpu_count() or 1
-
-
-# Two lanes: the calling thread plus one worker thread, started on first use.
-# numpy ufuncs and BLAS release the GIL, so the lanes overlap.
-LANES = min(2, _usable_cpus())
-_lane_busy = threading.Lock()
-_lane = None
-
-
-def _forget_lane() -> None:
-    # a forked child inherits neither the worker thread nor a consistent lock
-    global _lane, _lane_busy
-    _lane, _lane_busy = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_lane)
-
-
-def run_lanes(first, second) -> tuple:
-    """Run first() on this thread and second() on the worker lane; return both results.
-
-    While this thread records a Graph, second() records on a tape of its own,
-    whose nodes are appended to this thread's tape after first()'s once both
-    have succeeded, so the tape is the one that first(); second() would have
-    built. The two functions must not depend on each other. An exception on
-    either lane is raised only after both have finished, first()'s in
-    preference. With one usable CPU, on the worker lane itself or while the
-    lane is busy, the two run inline, one after the other.
-    """
-    global _lane
-    if LANES < 2 or not _lane_busy.acquire(blocking=False):
-        return first(), second()
-    try:
-        if _lane is None:
-            _lane = ThreadPoolExecutor(1, thread_name_prefix="afp-lane")
-        g = _active()
-        ctx = contextvars.copy_context()  # numpy's errstate, for one
-        job = _lane.submit(ctx.run, second) if g is None else _lane.submit(ctx.run, _taped, second)
-        try:
-            a = first()
-        except BaseException:
-            job.exception()
-            raise
-        b = job.result()
-    finally:
-        _lane_busy.release()
-    if g is not None:
-        b, nodes = b
-        g.nodes.extend(nodes)
-    return a, b
-
-
-def _taped(fn) -> tuple:
-    with Graph() as g:
-        out = fn()
-    return out, g.nodes
 
 
 def apply_op(op: str, out_data: np.ndarray, inputs: tuple, backward) -> Tensor:

@@ -137,8 +137,9 @@ def train(
     """Optimize AFP for train_config.steps steps.
 
     Per step: one pair batch and one CIF batch, a combined forward/backward,
-    and one AdamW update. Diagnostics run at step 0 and every eval_every
-    steps; checkpoints are written at eval points and at the end when
+    and one AdamW update. Diagnostics run at step 0, every eval_every steps
+    and at the final step, so the last report describes the returned
+    parameters; checkpoints are written at eval points and at the end when
     checkpoint_dir is given. A non-finite loss aborts with the last good
     (eval-point) parameters attached to the error.
     """
@@ -181,7 +182,7 @@ def train(
                 betas=train_config.betas,
                 weight_decay=train_config.weight_decay,
             )
-            if step % train_config.eval_every == 0:
+            if step % train_config.eval_every == 0 or step == train_config.steps:
                 report = heldout_metrics(params, corpus, train_config, step=step)
                 if not all(np.isfinite(v) for v in (report.l_align, report.mcl_loss, report.cif_loss)):
                     raise NumericError("non-finite held-out metrics")

@@ -139,12 +139,11 @@ class TestTrain:
         assert code == 4
         assert (tmp / "run" / "checkpoint_lastgood.afpt").exists()
 
-    @pytest.mark.parametrize("lane", ["worker", "caller"])
-    def test_checked_abort_on_either_lane_exit_4(self, ws, monkeypatch, lane):
+    @pytest.mark.parametrize("side", ["target", "cif"])
+    def test_checked_abort_on_either_side_exit_4(self, ws, monkeypatch, side):
         tmp, cfg = ws
         run_cli(["gen-corpus", "--config", cfg])
-        monkeypatch.setattr(T, "LANES", 2)
-        poison_third_call(monkeypatch, lane)
+        poison_third_call(monkeypatch, side)
         T.set_checked(True)
         try:
             code = run_cli(["train", "--config", cfg, "--set", "train.steps=4"])
@@ -153,6 +152,68 @@ class TestTrain:
         assert code == 4
         assert (tmp / "run" / "checkpoint_lastgood.afpt").exists()
         assert not (tmp / "run" / "checkpoint.afpt").exists()
+
+    def test_last_report_is_the_final_steps(self, ws, capsys):
+        tmp, cfg = ws
+        run_cli(["gen-corpus", "--config", cfg])
+        assert run_cli(["train", "--config", cfg, "--set", "train.steps=3", "--set", "train.eval_every=2"]) == 0
+        reports = [json.loads(line) for line in (tmp / "run" / "reports.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in reports] == [0, 2, 3]
+        run = tmp / "run"
+        assert (run / "checkpoint_step3.afpt").read_bytes() == (run / "checkpoint.afpt").read_bytes()
+        assert f"trained 3 steps: afp={reports[-1]['afp_loss']:.4f} " in capsys.readouterr().out
+
+    def test_deep_pair_batch_starts_no_thread(self, ws):
+        # 64 pairs embedded up to block 4: a pair batch that once ran on a worker thread
+        _, cfg = ws
+        deep = ["--set", "model.n_layers=4", "--set", "train.align_layer=4", "--set", "train.mcl_batch=64"]
+        run_cli(["gen-corpus", "--config", cfg])
+        code = (
+            "import sys, threading\n"
+            "from afp import cli\n"
+            "before = threading.enumerate()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, threading.enumerate() == before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "train", "--config", cfg, *deep],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 True"
+
+
+BAD_VALUES = [
+    (["--set", 'seed="abc"'], {}),
+    (["--set", "seed=-1"], {}),
+    (["--set", "seed=1.7"], {}),
+    ([], {"AFP_SEED": "abc"}),
+    (["--set", "model.n_layers=1.5"], {}),
+    (["--set", "model.d_model=16.0"], {}),
+    (["--set", "model.n_heads=0"], {}),
+    (["--set", "train.align_layer=1.0"], {}),
+    (["--set", "train.mcl_batch=2.5"], {}),
+    (["--set", "train.steps=2.5"], {}),
+    (["--set", "train.cif_batch=true"], {}),
+    (["--set", "train.tau=true"], {}),
+    (["--set", 'train.lr="fast"'], {}),
+]
+
+
+@pytest.mark.parametrize("overrides,env", BAD_VALUES, ids=[" ".join(o) or str(e) for o, e in BAD_VALUES])
+def test_bad_config_value_exit_2_before_any_step(ws, monkeypatch, capsys, overrides, env):
+    tmp, cfg = ws
+    if env:  # AFP_SEED applies only when the config has no seed
+        doc = json.loads((tmp / "config.json").read_text())
+        del doc["seed"]
+        (tmp / "config.json").write_text(json.dumps(doc))
+    run_cli(["gen-corpus", "--config", cfg])
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert run_cli(["train", "--config", cfg, *overrides]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp / "run").exists()
 
 
 @pytest.fixture()
@@ -394,6 +455,16 @@ class TestOutOfVocabCorpus:
              "--corpus", str(tmp / "corpus" / "heldout.jsonl"), "--out", str(tmp / "x.jsonl")]
         ) == 2
         assert "vocabulary" in capsys.readouterr().err
+
+
+def test_over_long_corpus_record_exit_2_before_any_step(ws, capsys):
+    tmp, cfg = ws
+    longer = ["--set", "corpus.length_max=40"]  # CIF samples of up to 85 tokens; max_seq_len is 48
+    assert run_cli(["gen-corpus", "--config", cfg, *longer]) == 0
+    assert run_cli(["train", "--config", cfg, *longer]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"cif\.jsonl line \d+: \d+ tokens exceed the model's max_seq_len 48", err), err
+    assert not (tmp / "run" / "checkpoint_step0.afpt").exists()
 
 
 class TestGradcheckCommand:

@@ -1,12 +1,10 @@
 import math
-import threading
 
 import numpy as np
 import pytest
 
 from afp import corpus as C
 from afp import losses
-from afp import tensor as T
 from afp.config import TrainConfig
 from afp.errors import UsageError
 from afp.gradcheck import grad_error
@@ -231,51 +229,3 @@ class TestAfpLoss:
                 coords_per_tensor=2,
             )
             assert err <= 1e-4, f"seed {seed}: {err}"
-
-
-class TestAfpLossLanes:
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("alpha,symmetric", [(1.5, False), (0.0, True)])
-    def test_spliced_tape_equals_one_lane_tape(self, tiny, monkeypatch, dtype, alpha, symmetric):
-        family, mcfg, _ = tiny
-        pair_batch, cif_batch = TestAfpLoss().make_batches(family, 21)
-        cfg = TrainConfig(alpha=alpha, tau=0.05, align_layer=1, symmetric_mcl=symmetric)
-        threads = {}
-        for name in ("embed", "cif_loss"):
-            real = getattr(losses, name)
-
-            def spy(*args, _real=real, _name=name):
-                threads.setdefault(_name, []).append(threading.get_ident())
-                return _real(*args)
-
-            monkeypatch.setattr(losses, name, spy)
-
-        monkeypatch.setattr(losses, "PAIR_LANE_WORK", 0)  # every pair batch on two lanes
-
-        def run(lanes):
-            monkeypatch.setattr(T, "LANES", lanes)
-            threads.clear()
-            params = init_params(mcfg, seed=3, dtype=dtype)
-            with Graph() as g:
-                total, comps = afp_loss(params, pair_batch, cif_batch, cfg)
-                backward(g, total)
-            return [n.op for n in g.nodes], comps, {name: t.grad for name, t in params.named()}, dict(threads)
-
-        ops1, comps1, grads1, threads1 = run(1)
-        ops2, comps2, grads2, threads2 = run(2)
-        me = threading.get_ident()
-        assert {t for ts in threads1.values() for t in ts} == {me}
-        assert me in threads2["embed"] and len(set(threads2["embed"])) == 2  # one side ran on the worker lane
-        assert ops1 == ops2 and comps1 == comps2
-        assert all(np.array_equal(grads1[name], grads2[name]) for name in grads1)
-
-    def test_small_pair_batch_stays_on_one_lane(self, tiny, monkeypatch):
-        family, mcfg, _ = tiny
-        pair_batch, cif_batch = TestAfpLoss().make_batches(family, 22)
-        cfg = TrainConfig(alpha=1.5, tau=0.05, align_layer=1)
-        assert pair_batch.src_tokens.size * cfg.align_layer < losses.PAIR_LANE_WORK
-        monkeypatch.setattr(T, "LANES", 2)
-        calls = []
-        monkeypatch.setattr(T, "run_lanes", lambda a, b: calls.append(1))
-        afp_loss(init_params(mcfg, seed=3), pair_batch, cif_batch, cfg)
-        assert calls == []

@@ -1,8 +1,4 @@
 import math
-import multiprocessing
-import sys
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -405,126 +401,6 @@ class TestCheckedMode:
             np.testing.assert_array_equal(out.data, [3.0, 8.0])
         finally:
             T.set_checked(False)
-
-
-@pytest.fixture()
-def two_lanes(monkeypatch):
-    monkeypatch.setattr(T, "LANES", 2)
-
-
-def _lane_round_trip():
-    sys.exit(0 if T.run_lanes(lambda: 1, lambda: 2) == (1, 2) else 1)
-
-
-class TestRunLanes:
-    def test_second_runs_on_the_worker_lane(self, two_lanes):
-        a, b = T.run_lanes(threading.get_ident, threading.get_ident)
-        assert a == threading.get_ident() != b
-
-    def test_one_lane_runs_both_inline_in_order(self, monkeypatch):
-        monkeypatch.setattr(T, "LANES", 1)
-        calls = []
-        out = T.run_lanes(
-            lambda: calls.append(("first", threading.get_ident())) or 1,
-            lambda: calls.append(("second", threading.get_ident())) or 2,
-        )
-        me = threading.get_ident()
-        assert out == (1, 2) and calls == [("first", me), ("second", me)]
-
-    def test_nested_calls_run_inline_while_the_lane_is_busy(self, two_lanes):
-        first_done = threading.Event()
-
-        def first():
-            try:
-                return T.run_lanes(threading.get_ident, threading.get_ident)
-            finally:
-                first_done.set()
-
-        def second():  # called on the worker lane, and holds it until first() is done
-            out = T.run_lanes(threading.get_ident, threading.get_ident)
-            first_done.wait(10)
-            return out
-
-        (a, b), (c, d) = T.run_lanes(first, second)
-        assert a == b == threading.get_ident() and c == d != a
-
-    @pytest.mark.parametrize("failing", ["first", "second", "both"])
-    def test_error_raised_after_both_lanes_finished(self, two_lanes, failing):
-        finished = []
-
-        def lane(name):
-            def run():
-                time.sleep(0.05)
-                finished.append(name)
-                if failing in (name, "both"):
-                    raise NumericError(name)
-
-            return run
-
-        with pytest.raises(NumericError, match="first" if failing == "both" else failing):
-            T.run_lanes(lane("first"), lane("second"))
-        assert sorted(finished) == ["first", "second"]
-
-    def test_errstate_of_the_caller_holds_on_the_worker_lane(self, two_lanes):
-        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            T.run_lanes(lambda: None, lambda: np.ones(1) / np.zeros(1))
-
-    def test_taped_lane_nodes_follow_the_first_lanes(self, two_lanes):
-        x = t64([1.0, 2.0], requires_grad=True)
-        with Graph() as g:
-            a, b = T.run_lanes(lambda: T.scale(T.mul(x, x), 2.0), lambda: T.sum_all(T.add(x, x)))
-        assert [n.op for n in g.nodes] == ["mul", "scale", "add", "sum_all"]
-        assert a.requires_grad and b.requires_grad
-
-    def test_failed_lane_nodes_are_never_spliced(self, two_lanes):
-        x = t64([1.0, 2.0], requires_grad=True)
-
-        def poisoned():
-            T.add(x, x)
-            return T.scale(x, math.inf)
-
-        T.set_checked(True)
-        try:
-            with Graph() as g, pytest.raises(NumericError, match="scale"):
-                T.run_lanes(lambda: T.mul(x, x), poisoned)
-        finally:
-            T.set_checked(False)
-        assert [n.op for n in g.nodes] == ["mul"]
-        assert T.run_lanes(lambda: None, T.recording) == (None, False)  # the worker's Graph stack is empty
-
-    def test_concurrent_callers_get_their_own_results(self, two_lanes):
-        errors = []
-
-        def caller(k):
-            try:
-                for i in range(300):
-                    out = T.run_lanes(lambda: (k, i), lambda: (k, -i))
-                    if out != ((k, i), (k, -i)):
-                        errors.append((k, i, out))
-            except Exception as exc:
-                errors.append(exc)
-
-        threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-
-    def test_forked_child_starts_a_lane_of_its_own(self, two_lanes):
-        T.run_lanes(lambda: None, lambda: None)  # the parent's worker thread exists
-        child = multiprocessing.get_context("fork").Process(target=_lane_round_trip)
-        child.start()
-        child.join(timeout=60)
-        if child.is_alive():
-            child.kill()
-        assert child.exitcode == 0
 
 
 class TestRowSplitOps:

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import threading
 import weakref
 
 import numpy as np
@@ -63,32 +62,32 @@ def tiny_corpus():
     return generate_corpus(tiny_run_config())
 
 
-def poison_third_call(monkeypatch, lane):
-    """Make afp_loss's third target-side embedding ("worker" lane) or third
-    CIF loss ("caller" lane) non-finite; returns the threads of those calls."""
-    threads = []
-    monkeypatch.setattr(losses, "PAIR_LANE_WORK", 0)  # every pair batch on two lanes
-    if lane == "worker":
-        real, main = losses.embed, threading.get_ident()
+def poison_third_call(monkeypatch, side):
+    """Make afp_loss's third target-side embedding ("target") or third CIF
+    loss ("cif") non-finite; returns one entry per call of that side."""
+    calls = []
+    if side == "target":
+        real, embeds = losses.embed, []
 
         def poisoned(*args):
             out = real(*args)
-            if threading.get_ident() == main:
+            embeds.append(args)
+            if len(embeds) % 2:  # the source side, which afp_loss embeds first
                 return out
-            threads.append(threading.get_ident())
-            return dataclasses.replace(out, vectors=T.scale(out.vectors, math.inf)) if len(threads) == 3 else out
+            calls.append(args)
+            return dataclasses.replace(out, vectors=T.scale(out.vectors, math.inf)) if len(calls) == 3 else out
 
         monkeypatch.setattr(losses, "embed", poisoned)
     else:
         real = losses.cif_loss
 
         def poisoned(params, batch):
-            threads.append(threading.get_ident())
+            calls.append(batch)
             loss, n = real(params, batch)
-            return (T.scale(loss, math.inf) if len(threads) == 3 else loss), n
+            return (T.scale(loss, math.inf) if len(calls) == 3 else loss), n
 
         monkeypatch.setattr(losses, "cif_loss", poisoned)
-    return threads
+    return calls
 
 
 def params_equal(a, b):
@@ -135,11 +134,10 @@ class TestTrain:
         assert err.value.last_good_params is not None
         assert err.value.last_good_step >= 0
 
-    @pytest.mark.parametrize("lane", ["worker", "caller"])
-    def test_checked_abort_on_either_lane_retains_last_good(self, tiny_corpus, monkeypatch, lane):
-        # the third step's target-side embedding (worker lane) or CIF loss (caller) turns inf
-        monkeypatch.setattr(T, "LANES", 2)
-        poisoned = poison_third_call(monkeypatch, lane)
+    @pytest.mark.parametrize("side", ["target", "cif"])
+    def test_checked_abort_on_either_side_retains_last_good(self, tiny_corpus, monkeypatch, side):
+        # the third step's target-side embedding or CIF loss turns inf
+        poisoned = poison_third_call(monkeypatch, side)
         cfg = tiny_run_config(steps=4, eval_every=2)
         T.set_checked(True)
         try:
@@ -147,13 +145,13 @@ class TestTrain:
                 train(cfg.model, cfg.train, tiny_corpus, seed=cfg.seed)
         finally:
             T.set_checked(False)
-        assert len(poisoned) == 3 and (poisoned[-1] == threading.get_ident()) == (lane == "caller")
+        assert len(poisoned) == 3
         assert err.value.last_good_step == 2
         monkeypatch.undo()
         two_steps = tiny_run_config(steps=2, eval_every=2)
         clean = train(two_steps.model, two_steps.train, tiny_corpus, seed=cfg.seed)
         assert params_equal(err.value.last_good_params, clean.params)
-        assert T.run_lanes(lambda: None, T.recording) == (None, False)  # no Graph left open on the worker
+        assert not T.recording()  # the aborted step's Graph was closed
 
     def test_align_layer_beyond_model_rejected(self, tiny_corpus):
         cfg = tiny_run_config(align_layer=5)
