@@ -204,7 +204,7 @@ def cmd_export_embeddings(args) -> int:
     if not pairs:
         raise UsageError(f"no pair records in {args.corpus!r}")
     sentences = [(p.src_lang, p.src_tokens) for p in pairs] + [(p.tgt_lang, p.tgt_tokens) for p in pairs]
-    tokens, pad = C._pad_matrix([s for _, s in sentences], C.PAD)
+    tokens, pad = C.pad_matrix([s for _, s in sentences])
     vectors = embed(params, tokens, pad, layer, pooling).array
     coords = pca2(vectors)
     with atomic_write(args.out) as fh:

@@ -189,19 +189,8 @@ def config_from_dict(obj: dict, env: dict | None = None) -> RunConfig:
     return RunConfig(seed=seed, **kwargs)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "model": dataclasses.asdict(cfg.model),
-        "train": dataclasses.asdict(cfg.train),
-        "corpus": dataclasses.asdict(cfg.corpus),
-        "eval": dataclasses.asdict(cfg.eval),
-        "paths": dataclasses.asdict(cfg.paths),
-        "seed": cfg.seed,
-    }
-
-
 def dumps_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2) + "\n"
+    return json.dumps(dataclasses.asdict(cfg), sort_keys=True, indent=2) + "\n"
 
 
 def load_config(path, overrides: list[str] | None = None, env: dict | None = None) -> RunConfig:

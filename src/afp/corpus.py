@@ -456,9 +456,10 @@ class PairBatch:
     langs: list[tuple[str, str]]
 
 
-def _pad_matrix(seqs: list[list[int]], pad_token: int) -> tuple[np.ndarray, np.ndarray]:
+def pad_matrix(seqs: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad with PAD: a [n, width] token matrix and its valid-position mask."""
     width = max(len(s) for s in seqs)
-    tokens = np.full((len(seqs), width), pad_token, dtype=np.int64)
+    tokens = np.full((len(seqs), width), PAD, dtype=np.int64)
     pad_mask = np.zeros((len(seqs), width), dtype=bool)
     for i, s in enumerate(seqs):
         tokens[i, : len(s)] = s
@@ -466,8 +467,8 @@ def _pad_matrix(seqs: list[list[int]], pad_token: int) -> tuple[np.ndarray, np.n
     return tokens, pad_mask
 
 
-def collate_cif(samples: list[CifSample], pad_token: int = PAD) -> TokenBatch:
-    tokens, pad_mask = _pad_matrix([s.input_tokens for s in samples], pad_token)
+def collate_cif(samples: list[CifSample]) -> TokenBatch:
+    tokens, pad_mask = pad_matrix([s.input_tokens for s in samples])
     loss_mask = np.zeros_like(pad_mask)
     for i, s in enumerate(samples):
         target = np.asarray(s.loss_mask, dtype=bool)
@@ -475,9 +476,9 @@ def collate_cif(samples: list[CifSample], pad_token: int = PAD) -> TokenBatch:
     return TokenBatch(tokens=tokens, pad_mask=pad_mask, loss_mask=loss_mask)
 
 
-def collate_pairs(pairs: list[TranslationPair], pad_token: int = PAD) -> PairBatch:
-    src_tokens, src_pad = _pad_matrix([p.src_tokens for p in pairs], pad_token)
-    tgt_tokens, tgt_pad = _pad_matrix([p.tgt_tokens for p in pairs], pad_token)
+def collate_pairs(pairs: list[TranslationPair]) -> PairBatch:
+    src_tokens, src_pad = pad_matrix([p.src_tokens for p in pairs])
+    tgt_tokens, tgt_pad = pad_matrix([p.tgt_tokens for p in pairs])
     return PairBatch(
         src_tokens=src_tokens,
         src_pad=src_pad,
@@ -487,7 +488,7 @@ def collate_pairs(pairs: list[TranslationPair], pad_token: int = PAD) -> PairBat
     )
 
 
-def batch_iter(dataset, batch_size: int, seed: int, pad_token: int = PAD):
+def batch_iter(dataset, batch_size: int, seed: int):
     """One epoch over the dataset: deterministic shuffle, right-padded batches.
 
     CifSample datasets yield TokenBatch; TranslationPair datasets yield
@@ -499,9 +500,9 @@ def batch_iter(dataset, batch_size: int, seed: int, pad_token: int = PAD):
     for lo in range(0, len(dataset), batch_size):
         chunk = [dataset[i] for i in order[lo : lo + batch_size]]
         if isinstance(chunk[0], CifSample):
-            yield collate_cif(chunk, pad_token)
+            yield collate_cif(chunk)
         elif isinstance(chunk[0], TranslationPair):
-            yield collate_pairs(chunk, pad_token)
+            yield collate_pairs(chunk)
         else:
             raise UsageError(f"cannot batch items of type {type(chunk[0]).__name__}")
 

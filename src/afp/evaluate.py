@@ -22,7 +22,6 @@ from .rng import stream
 class Template:
     k: int
     verbalizer: dict  # label -> candidate token list
-    sep: int = C.SEP
 
     def __post_init__(self):
         if self.k < 0:
@@ -70,7 +69,7 @@ def build_prompt(template: Template, demos, query_input, max_len: int | None = N
         raise UsageError(f"template.k={template.k} but got {len(demos)} demos")
     prompt: list[int] = []
     for demo_input, label in demos:
-        prompt += list(demo_input) + list(template.verbalizer[label]) + [template.sep]
+        prompt += list(demo_input) + list(template.verbalizer[label]) + [C.SEP]
     prompt += list(query_input)
     if max_len is not None and len(prompt) > max_len:
         raise ShapeError(f"prompt length {len(prompt)} exceeds {max_len}")
@@ -113,7 +112,7 @@ def score_candidates(params: ModelParams, prompt, candidates) -> tuple[int, list
         if len(prompt) + len(cand) > limit:
             raise ShapeError(f"prompt+candidate length {len(prompt) + len(cand)} exceeds max_seq_len {limit}")
         rows.setdefault(tuple(cand[:-1]), len(rows))
-    tokens, pad = C._pad_matrix([prompt + list(fed) for fed in rows], C.PAD)
+    tokens, pad = C.pad_matrix([prompt + list(fed) for fed in rows])
     logits = forward(params, tokens, pad).logits.data
     scores = []
     for cand in candidates:

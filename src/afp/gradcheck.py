@@ -13,9 +13,10 @@ from .tensor import Graph, backward
 FD_STEP = 1e-5
 REL_FLOOR = 1e-3
 REL_TOL = 1e-4
+PROBE_BATCH = 4
 
 
-def grad_error(loss_fn, leaves, rng, coords_per_tensor: int = 4, h: float = FD_STEP) -> float:
+def grad_error(loss_fn, leaves, rng, coords_per_tensor: int = 4) -> float:
     """Worst relative error between backward() and central differences.
 
     loss_fn() must rebuild the loss from the leaves' current data each call.
@@ -40,19 +41,19 @@ def grad_error(loss_fn, leaves, rng, coords_per_tensor: int = 4, h: float = FD_S
         coords = rng.choice(flat.size, size=k, replace=False)
         for c in coords:
             orig = flat[c]
-            flat[c] = orig + h
+            flat[c] = orig + FD_STEP
             f_plus = loss_fn().item()
-            flat[c] = orig - h
+            flat[c] = orig - FD_STEP
             f_minus = loss_fn().item()
             flat[c] = orig
-            fd = (f_plus - f_minus) / (2.0 * h)
+            fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             an_c = an.reshape(-1)[c]
             rel = abs(an_c - fd) / max(abs(an_c), abs(fd), REL_FLOOR)
             worst = max(worst, rel)
     return worst
 
 
-def loss_gradcheck(n_seeds: int = 20, coords_per_tensor: int = 1, batch: int = 4) -> dict[str, float]:
+def loss_gradcheck(n_seeds: int = 20, coords_per_tensor: int = 1) -> dict[str, float]:
     """FD-check the three training losses on a tiny 64-bit model.
 
     Fixed probe: 2 layers, d_model 16, vocab 64, batch 4. Returns the worst
@@ -72,9 +73,9 @@ def loss_gradcheck(n_seeds: int = 20, coords_per_tensor: int = 1, batch: int = 4
         assert family.vocab_size <= mcfg.vocab_size
         pair_rng = stream(seed, "gradcheck-pairs")
         cif_rng = stream(seed, "gradcheck-cif")
-        pairs = C.make_translation_pairs(family, "pairwise", batch, pair_rng)
-        pair_batch = C.collate_pairs(pairs[:batch])
-        cifs = [C.make_cif_sample(family, "copy", "A", 0.5, cif_rng) for _ in range(batch)]
+        pairs = C.make_translation_pairs(family, "pairwise", PROBE_BATCH, pair_rng)
+        pair_batch = C.collate_pairs(pairs[:PROBE_BATCH])
+        cifs = [C.make_cif_sample(family, "copy", "A", 0.5, cif_rng) for _ in range(PROBE_BATCH)]
         cif_batch = C.collate_cif(cifs)
         params = init_params(mcfg, seed=seed, dtype=np.float64)
 

@@ -21,8 +21,7 @@ def _infonce(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
     an = T.l2_normalize_rows(anchors)
     pn = T.l2_normalize_rows(positives)
     sims = T.scale(T.matmul(an, T.permute(pn, (1, 0))), 1.0 / tau)
-    loss, _ = T.cross_entropy_rows(sims, np.arange(anchors.shape[0]))
-    return loss
+    return T.cross_entropy_rows(sims, np.arange(anchors.shape[0]))
 
 
 def mcl_loss(h: PooledBatch, h_plus: PooledBatch, tau: float, symmetric: bool = False) -> Tensor:

@@ -245,39 +245,35 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         key_valid = pad_mask if cache is None else np.ones((1, past + s), dtype=bool)
         pos_ids = np.broadcast_to(np.arange(past, past + s), (b, s))
         attn_bias = _attention_bias(key_valid, s, params.dtype)
-    x = T.add(T.embedding(params["tok_emb"], tokens), T.embedding(params["pos_emb"], pos_ids))
-    hidden = [x]
+    emb = T.add(T.embedding(params["tok_emb"], tokens), T.embedding(params["pos_emb"], pos_ids))
+    hidden = [emb]
+    x = T.reshape(emb, (b * s, d))  # the residual stream, one row per position
 
     for i in range(cfg.n_layers if upto_layer is None else upto_layer):
         p = f"blocks.{i}."
         a = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"], LN_EPS)
-        a2 = T.reshape(a, (b * s, d))
-        q = T.add_bias(T.matmul(a2, params[p + "attn.wq"]), params[p + "attn.bq"])
-        k = T.add_bias(T.matmul(a2, params[p + "attn.wk"]), params[p + "attn.bk"])
-        v = T.add_bias(T.matmul(a2, params[p + "attn.wv"]), params[p + "attn.bv"])
+        q = T.add_bias(T.matmul(a, params[p + "attn.wq"]), params[p + "attn.bq"])
+        k = T.add_bias(T.matmul(a, params[p + "attn.wk"]), params[p + "attn.bk"])
+        v = T.add_bias(T.matmul(a, params[p + "attn.wv"]), params[p + "attn.bv"])
         if cache is not None:
             cache.keys[i][:, past : past + s] = k.data.reshape(b, s, d)
             cache.values[i][:, past : past + s] = v.data.reshape(b, s, d)
             k = Tensor(cache.keys[i][:, : past + s])
             v = Tensor(cache.values[i][:, : past + s])
         ctx = T.attention(q, k, v, attn_bias, h)
-        proj = T.add_bias(T.matmul(ctx, params[p + "attn.wo"]), params[p + "attn.bo"])
-        x = T.add(x, T.reshape(proj, (b, s, d)))
+        x = T.add(x, T.add_bias(T.matmul(ctx, params[p + "attn.wo"]), params[p + "attn.bo"]))
 
         m = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"], LN_EPS)
-        m2 = T.reshape(m, (b * s, d))
-        f = T.add_bias(T.matmul(m2, params[p + "mlp.w1"]), params[p + "mlp.b1"])
-        f = T.gelu(f)
-        f = T.add_bias(T.matmul(f, params[p + "mlp.w2"]), params[p + "mlp.b2"])
-        x = T.add(x, T.reshape(f, (b, s, d)))
-        hidden.append(x)
+        f = T.gelu(T.add_bias(T.matmul(m, params[p + "mlp.w1"]), params[p + "mlp.b1"]))
+        x = T.add(x, T.add_bias(T.matmul(f, params[p + "mlp.w2"]), params[p + "mlp.b2"]))
+        hidden.append(T.reshape(x, (b, s, d)))
 
     if cache is not None:
         cache.length = past + s
     if upto_layer is not None:
         return ForwardResult(hidden_states=hidden, logits=None)
     fin = T.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-    logits = T.reshape(T.matmul(T.reshape(fin, (b * s, d)), params["out_proj"]), (b, s, cfg.vocab_size))
+    logits = T.reshape(T.matmul(fin, params["out_proj"]), (b, s, cfg.vocab_size))
     return ForwardResult(hidden_states=hidden, logits=logits)
 
 
@@ -309,4 +305,4 @@ def sequence_nll(
     rows_b, rows_t = np.nonzero(loss_mask)
     picked = T.gather_rows(flat_logits, rows_b * s + rows_t)
     targets = tokens[rows_b, rows_t + 1]
-    return T.cross_entropy_rows(picked, targets)
+    return T.cross_entropy_rows(picked, targets), n_scored

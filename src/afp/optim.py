@@ -7,6 +7,8 @@ import numpy as np
 from .errors import TrainingError
 from .model import ModelParams
 
+EPS = 1e-8
+
 
 @dataclass
 class OptState:
@@ -29,12 +31,11 @@ def adamw_step(
     state: OptState,
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place update:
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;  bias-correct both;
-    w <- w - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * w).
+    w <- w - lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * w).
     """
     b1, b2 = betas
     state.t += 1
@@ -56,7 +57,7 @@ def adamw_step(
         v += (1.0 - b2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        step = m_hat / (np.sqrt(v_hat) + eps)
+        step = m_hat / (np.sqrt(v_hat) + EPS)
         if weight_decay != 0.0:
             step = step + weight_decay * p.data
         p.data -= (lr * step).astype(p.data.dtype, copy=False)

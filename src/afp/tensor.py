@@ -75,8 +75,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
@@ -437,41 +437,31 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -
     return apply_op("attention", out, (q, k, v), bwd)
 
 
-def cross_entropy_rows(logits: Tensor, targets, mask=None) -> tuple[Tensor, int]:
-    """Mean of -log softmax(logits)[target] over unmasked rows.
-
-    Returns (loss, n_scored); n_scored == 0 flags an all-masked batch, in
-    which case the loss is an exact zero detached from the graph.
-    """
+def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
+    """Mean of -log softmax(logits)[target] over every row."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy_rows: expected [n, vocab], got {logits.shape}")
     n, v = logits.shape
+    if n == 0:
+        raise ShapeError("cross_entropy_rows: no rows to score")
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (n,):
         raise ShapeError(f"cross_entropy_rows: {n} rows but {targets.shape} targets")
-    mask = np.ones(n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise ShapeError(f"cross_entropy_rows: {n} rows but {mask.shape} mask")
-    if np.any((targets[mask] < 0) | (targets[mask] >= v)):
+    if np.any((targets < 0) | (targets >= v)):
         raise IndexError(f"cross_entropy_rows: target outside [0, {v})")
-    n_scored = int(mask.sum())
-    if n_scored == 0:
-        return Tensor(np.zeros((), dtype=logits.dtype)), 0
 
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
     rows = np.arange(n)
-    losses = -logp[rows, targets]
-    out = np.asarray(losses[mask].mean(), dtype=logits.dtype)
+    out = np.asarray((-logp[rows, targets]).mean(), dtype=logits.dtype)
 
     def bwd(g):
         gl = np.exp(logp)
         gl[rows, targets] -= 1.0
-        gl[~mask] = 0.0
-        return ((g / n_scored) * gl.astype(logits.dtype, copy=False),)
+        return ((g / n) * gl.astype(logits.dtype, copy=False),)
 
-    return apply_op("cross_entropy_rows", out, (logits,), bwd), n_scored
+    return apply_op("cross_entropy_rows", out, (logits,), bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -31,7 +31,6 @@ class AlignReport:
     mcl_loss: float
     cif_loss: float
     afp_loss: float
-    task_scores: dict | None = None
 
     def __post_init__(self):
         if self.l_align < 0:
@@ -91,7 +90,7 @@ def generate_corpus(cfg: RunConfig) -> CorpusHandles:
 
 def _epoch_batches(dataset, batch_size, seed, epoch):
     # a trailing batch of one pair is dropped: MCL needs in-batch negatives
-    for batch in C.batch_iter(dataset, batch_size, seed=int(seed + epoch), pad_token=C.PAD):
+    for batch in C.batch_iter(dataset, batch_size, seed=int(seed + epoch)):
         if not (isinstance(batch, C.PairBatch) and len(batch.langs) == 1):
             yield batch
 
@@ -257,7 +256,7 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
         cfg = _with_value(base_config, kind, value)
         corpus = generate_corpus(cfg)
         result = train(cfg.model, cfg.train, corpus, seed=cfg.seed)
-        final = heldout_metrics(result.params, corpus, cfg.train, step=cfg.train.steps)
+        final = result.reports[-1]  # train always reports at its final step
         pair_audit = C.audit_pairs(corpus.train_pairs)
         cif_audit = C.audit_cif(corpus.train_cif)
         ev = cfg.eval

@@ -312,7 +312,7 @@ class TestExportEmbeddings:
         params = load_params(ckpt, run_config.model)
         pairs = C.load_jsonl(tmp / "corpus" / "heldout.jsonl", C.TranslationPair.from_json)
         sents = [p.src_tokens for p in pairs] + [p.tgt_tokens for p in pairs]
-        tokens, pad = C._pad_matrix(sents, C.PAD)
+        tokens, pad = C.pad_matrix(sents)
         hidden = forward(params, tokens, pad).hidden_states[run_config.train.align_layer]
         vectors = pool(hidden, pad, run_config.train.pooling).array
         got = np.array([r["vector"] for r in records], dtype=np.float64)

@@ -6,7 +6,6 @@ from afp.config import (
     RunConfig,
     apply_override,
     config_from_dict,
-    config_to_dict,
     dumps_config,
     load_config,
     save_config,
@@ -31,7 +30,7 @@ class TestDefaults:
         assert cfg.seed == 0
 
     def test_empty_dict_is_all_defaults(self):
-        assert config_to_dict(config_from_dict({}, env={})) == config_to_dict(RunConfig())
+        assert config_from_dict({}, env={}) == RunConfig()
 
 
 class TestValidation:

@@ -127,6 +127,16 @@ class TestForward:
         out = forward(params, mutated, pad).logits.data
         np.testing.assert_array_equal(out[:, :4], base[:, :4])
 
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_residual_stream_stays_in_rows(self, n_layers):
+        # one reshape into rows, one back out per block output, one for the logits
+        cfg = ModelConfig(vocab_size=19, d_model=16, n_layers=n_layers, n_heads=2, d_ff=24, max_seq_len=12)
+        with Graph() as g:
+            res = forward(init_params(cfg, seed=1), rand_tokens(stream(1, "rows"), 3, 5))
+        assert [n.op for n in g.nodes].count("reshape") == n_layers + 2
+        assert all(h.shape == (3, 5, 16) for h in res.hidden_states)
+        assert res.logits.shape == (3, 5, 19)
+
     def test_over_length_rejected(self):
         params = init_params(CFG, seed=0)
         with pytest.raises(ShapeError):

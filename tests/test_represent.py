@@ -35,7 +35,7 @@ class TestPool:
         np.testing.assert_allclose(out.array, [[3.0, 3.0]])
 
     def test_mean_of_constant_sequence_is_exact(self):
-        h = Tensor(np.full((2, 5, 3), 0.73), dtype=np.float64)
+        h = Tensor(np.full((2, 5, 3), 0.73, dtype=np.float64))
         out = R.pool(h, np.ones((2, 5), dtype=bool), "mean")
         np.testing.assert_array_equal(out.array, np.full((2, 3), 0.73))
 

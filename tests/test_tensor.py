@@ -209,14 +209,13 @@ class TestAttention:
 
 class TestCrossEntropy:
     def test_uniform_two_way(self):
-        loss, n = T.cross_entropy_rows(t64([[0.0, 0.0]]), [0])
-        assert n == 1
+        loss = T.cross_entropy_rows(t64([[0.0, 0.0]]), [0])
         assert abs(loss.item() - math.log(2.0)) < 1e-12
 
     def test_confident_limit(self):
         logits = np.zeros((1, 4))
         logits[0, 2] = 1000.0
-        loss, _ = T.cross_entropy_rows(t64(logits), [2])
+        loss = T.cross_entropy_rows(t64(logits), [2])
         assert loss.item() < 1e-12
 
     def test_naive_oracle(self):
@@ -228,21 +227,12 @@ class TestCrossEntropy:
             z = sum(math.exp(v) for v in logits[i])
             expected += -math.log(math.exp(logits[i][t]) / z)
         expected /= 3
-        loss, _ = T.cross_entropy_rows(t64(logits), targets)
+        loss = T.cross_entropy_rows(t64(logits), targets)
         assert abs(loss.item() - expected) < 1e-10
 
-    def test_masked_rows_ignored(self):
-        rng = stream(17, "ce-mask")
-        logits = rng.standard_normal((4, 3))
-        full, _ = T.cross_entropy_rows(t64(logits[:2]), [1, 2])
-        masked, n = T.cross_entropy_rows(t64(logits), [1, 2, 0, 0], mask=[True, True, False, False])
-        assert n == 2
-        assert abs(full.item() - masked.item()) < 1e-12
-
-    def test_all_masked_flagged_zero(self):
-        loss, n = T.cross_entropy_rows(t64([[1.0, 2.0]]), [0], mask=[False])
-        assert n == 0
-        assert loss.item() == 0.0
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ShapeError):
+            T.cross_entropy_rows(t64(np.zeros((0, 3))), [])
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
@@ -342,7 +332,7 @@ OPS = {
         [rng.standard_normal((3, 4))],
     ),
     "cross_entropy": lambda rng: (
-        lambda x: T.cross_entropy_rows(x, [1, 0, 3], mask=[True, False, True])[0],
+        lambda x: T.cross_entropy_rows(x, [1, 0, 3]),
         [rng.standard_normal((3, 5))],
     ),
     "l2_normalize": lambda rng: (
