@@ -96,5 +96,7 @@ def load_params(path, config: ModelConfig) -> ModelParams:
     for name, shape in expected.items():
         if arrays[name].shape != shape:
             raise CheckpointError(f"{path}: {name}: shape {arrays[name].shape} does not match config {shape}")
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: {name}: non-finite values")
     tensors = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
     return ModelParams(config, tensors)

@@ -7,6 +7,7 @@ Loading rejects unknown keys; saving emits canonical bytes (sorted keys,
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -39,12 +40,20 @@ class TrainConfig:
     symmetric_mcl: bool = False
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be > 0, got {self.tau}")
         if self.alpha < 0:
             raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
         if not 0.0 <= self.p_src <= 1.0:
             raise ConfigError(f"p_src must be in [0, 1], got {self.p_src}")
+        if self.lr < 0 or self.weight_decay < 0:
+            raise ConfigError(f"lr and weight_decay must be >= 0, got {self.lr} and {self.weight_decay}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.align_layer < 0:
             raise ConfigError(f"align_layer must be >= 0, got {self.align_layer}")
         if self.pooling not in POOLING_METHODS:

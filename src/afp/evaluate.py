@@ -63,7 +63,7 @@ class EvalResult:
         }
 
 
-def build_prompt(template: Template, demos, query_input, max_len: int | None = None) -> list[int]:
+def build_prompt(template: Template, demos, query_input) -> list[int]:
     """[demo_1 + SEP + ... + demo_k + SEP + query]; demos are (input, label)."""
     if len(demos) != template.k:
         raise UsageError(f"template.k={template.k} but got {len(demos)} demos")
@@ -71,8 +71,6 @@ def build_prompt(template: Template, demos, query_input, max_len: int | None = N
     for demo_input, label in demos:
         prompt += list(demo_input) + list(template.verbalizer[label]) + [C.SEP]
     prompt += list(query_input)
-    if max_len is not None and len(prompt) > max_len:
-        raise ShapeError(f"prompt length {len(prompt)} exceeds {max_len}")
     return prompt
 
 
@@ -202,7 +200,8 @@ def classification_eval(
 ) -> EvalResult:
     """Accuracy over n fresh queries with template.k demonstrations drawn
     from a disjoint stream. `scorer(prompt, candidates) -> (index, loglikes)`
-    defaults to model scoring."""
+    defaults to model scoring. A prompt that cannot fit max_seq_len with its
+    longest candidate raises UsageError."""
     if n == 0:
         return EvalResult(task=task_spec.name, n=0, score=0.0, flagged=True)
     if scorer is None:
@@ -211,12 +210,19 @@ def classification_eval(
     query_rng = stream(seed, "queries")
     labels = template.labels
     candidates = template.candidates
+    longest = max(len(c) for c in candidates)
+    limit = params.config.max_seq_len
     hits = 0
     records = []
     for i in range(n):
         demos = [task_spec.make_example(demo_rng) for _ in range(template.k)]
         query, label = task_spec.make_example(query_rng)
-        prompt = [C.BOS] + build_prompt(template, demos, query, max_len=params.config.max_seq_len)
+        prompt = [C.BOS] + build_prompt(template, demos, query)
+        if len(prompt) + longest > limit:
+            raise UsageError(
+                f"a {len(prompt)}-token prompt plus a {longest}-token candidate exceeds max_seq_len {limit}; "
+                f"lower eval.k_shot ({template.k})"
+            )
         chosen, scores = scorer(prompt, candidates)
         ok = labels[chosen] == label
         hits += ok
@@ -240,7 +246,8 @@ def translation_eval(
 
     Prompts mirror the instruction-sample layout (task tag, source sentence,
     target-language tag, SEP), with k_shot completed demonstrations in front.
-    Scores: exact-match rate (primary) and corpus BLEU.
+    Scores: exact-match rate (primary) and corpus BLEU. A prompt that
+    leaves no position to generate into raises UsageError.
     """
     if n == 0:
         return EvalResult(task="translation", n=0, score=0.0, flagged=True)
@@ -259,6 +266,11 @@ def translation_eval(
         src = C.sample_sentence(family, src_lang, rng)
         ref = C.translate(family, task_fn(src), src_lang, tgt_lang)
         prompt = [C.BOS] + demo_part + C.cif_prompt(family, task, src, tgt_lang)[1:]
+        if len(prompt) >= params.config.max_seq_len:
+            raise UsageError(
+                f"a {len(prompt)}-token prompt leaves no room to generate within max_seq_len "
+                f"{params.config.max_seq_len}; lower eval.k_shot ({k_shot})"
+            )
         hyp = list(generate_fn(prompt))
         hyps.append(hyp)
         refs.append(ref)

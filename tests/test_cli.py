@@ -198,6 +198,12 @@ BAD_VALUES = [
     (["--set", "train.cif_batch=true"], {}),
     (["--set", "train.tau=true"], {}),
     (["--set", 'train.lr="fast"'], {}),
+    (["--set", "train.lr=-1"], {}),
+    (["--set", "train.weight_decay=-1"], {}),
+    (["--set", "train.beta1=1.0"], {}),
+    (["--set", "train.beta2=1.5"], {}),
+    (["--set", "train.tau=NaN"], {}),
+    (["--set", "train.alpha=Infinity"], {}),
 ]
 
 
@@ -284,6 +290,26 @@ class TestEval:
         bad.write_bytes(oversized_record(dims))
         assert run_cli(["metrics", "--checkpoint", str(bad), "--config", cfg]) == 5
         assert "corrupt artifact" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exit_5(self, trained, capsys):
+        tmp, cfg, ckpt = trained
+        params = load_params(ckpt, load_config(cfg).model)
+        params["tok_emb"].data[3, 1] = np.nan
+        bad = tmp / "nan.afpt"
+        save_params(bad, params)
+        assert run_cli(["eval", "--checkpoint", str(bad), "--config", cfg, "--task", "retrieval"]) == 5
+        err = capsys.readouterr().err
+        assert "corrupt artifact" in err and "nan.afpt" in err and "tok_emb" in err
+
+    @pytest.mark.parametrize("task", ["classification", "translation"])
+    def test_prompt_that_cannot_fit_exit_2(self, trained, tmp_path, capsys, task):
+        _, cfg, ckpt = trained
+        out = tmp_path / "result.json"
+        argv = ["eval", "--checkpoint", str(ckpt), "--config", cfg, "--task", task, "--out", str(out)]
+        assert run_cli([*argv, "--set", "eval.k_shot=20"]) == 2
+        err = capsys.readouterr().err
+        assert "eval.k_shot" in err and "max_seq_len 48" in err
+        assert not out.exists()
 
     def test_wrong_shape_checkpoint_exit_5(self, trained, capsys):
         _, cfg, ckpt = trained
