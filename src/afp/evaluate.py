@@ -84,10 +84,13 @@ def candidate_loglik(logits: np.ndarray, prompt_len: int, candidate) -> float:
     for the sequence prompt + candidate; rows from prompt_len + len(candidate) - 1
     on are never read, so the logits of prompt + candidate[:-1] suffice.
     Invariant to per-position constant logit offsets (softmax shift invariance)."""
-    logp = _log_softmax(np.asarray(logits, dtype=np.float64))
+    if prompt_len < 1:
+        raise UsageError("candidate_loglik: empty prompt")
+    start = prompt_len - 1
+    logp = _log_softmax(np.asarray(logits)[start : start + len(candidate)].astype(np.float64))
     total = 0.0
     for i, tok in enumerate(candidate):
-        total += logp[prompt_len - 1 + i, tok]
+        total += logp[i, tok]
     return float(total)
 
 
@@ -247,7 +250,7 @@ def translation_eval(
     Prompts mirror the instruction-sample layout (task tag, source sentence,
     target-language tag, SEP), with k_shot completed demonstrations in front.
     Scores: exact-match rate (primary) and corpus BLEU. A prompt that
-    leaves no position to generate into raises UsageError.
+    leaves fewer positions than its reference needs raises UsageError.
     """
     if n == 0:
         return EvalResult(task="translation", n=0, score=0.0, flagged=True)
@@ -266,10 +269,10 @@ def translation_eval(
         src = C.sample_sentence(family, src_lang, rng)
         ref = C.translate(family, task_fn(src), src_lang, tgt_lang)
         prompt = [C.BOS] + demo_part + C.cif_prompt(family, task, src, tgt_lang)[1:]
-        if len(prompt) >= params.config.max_seq_len:
+        if len(prompt) + len(ref) > params.config.max_seq_len:
             raise UsageError(
-                f"a {len(prompt)}-token prompt leaves no room to generate within max_seq_len "
-                f"{params.config.max_seq_len}; lower eval.k_shot ({k_shot})"
+                f"a {len(prompt)}-token prompt leaves no room for its {len(ref)}-token reference within "
+                f"max_seq_len {params.config.max_seq_len}; lower eval.k_shot ({k_shot})"
             )
         hyp = list(generate_fn(prompt))
         hyps.append(hyp)

@@ -20,8 +20,9 @@ INIT_STD = 0.02
 # Most positions a graph-free, cache-free forward runs at once; a larger one
 # runs in chunks of whole rows of at most this many positions (at least two
 # rows). On a 2-core x86 box, a held-out call at the desk config (median of 20
-# interleaved rounds) took 164, 155, 153, 168 and 182 ms at 256, 512, 1024,
-# 2048 and unchunked, with traced numpy peaks of 17.5, 17.5, 19.0, 25.1, 32.9 MB.
+# interleaved rounds) took 151, 142, 138, 167 and 180 ms at 256, 512, 1024,
+# 2048 and unchunked, with traced numpy peaks of 7.2, 7.2, 8.3, 14.4 and
+# 32.9 MiB, the early-stopped forwards keeping one layer each.
 CHUNK_POSITIONS = 1024
 
 
@@ -138,7 +139,12 @@ def init_params(config: ModelConfig, seed: int, dtype=np.float32) -> ModelParams
 
 @dataclass
 class ForwardResult:
-    hidden_states: list  # [batch, seq, d_model] per layer; index 0 = embeddings
+    """Outputs of forward(). A full forward fills every layer of
+    hidden_states (index 0 = embeddings). With upto_layer=L there are still
+    L + 1 entries, but only index L is filled and the lower ones are None,
+    so a forward keeps only the layer its caller reads."""
+
+    hidden_states: list  # [batch, seq, d_model] Tensor, or None below upto_layer
     logits: Tensor | None  # [batch, seq, vocab]; None when stopped early
 
 
@@ -173,11 +179,13 @@ def forward(
     upto_layer: int | None = None,
     cache: KVCache | None = None,
 ) -> ForwardResult:
-    """Causal forward pass over a [batch, seq] token matrix; upto_layer=L stops after block L, with no logits.
+    """Causal forward pass over a [batch, seq] token matrix.
 
-    With a cache, tokens continue the cached positions (see KVCache). With
-    neither a cache nor an open Graph, a batch of more than CHUNK_POSITIONS
-    positions runs in chunks of whole rows.
+    upto_layer=L stops after block L: there are no logits, and of
+    hidden_states only index L is filled (see ForwardResult). With a cache,
+    tokens continue the cached positions (see KVCache). With neither a cache
+    nor an open Graph, a batch of more than CHUNK_POSITIONS positions runs in
+    chunks of whole rows.
     """
     cfg = params.config
     if upto_layer is not None and not 0 <= upto_layer <= cfg.n_layers:
@@ -223,14 +231,15 @@ def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarr
     outs = None
     for lo, hi in zip(bounds, bounds[1:]):
         res = _forward(params, tokens[lo:hi], pad_mask[lo:hi], upto_layer, None)
-        parts = res.hidden_states + ([] if res.logits is None else [res.logits])
-        if outs is None:
-            outs = [np.empty((b, *t.shape[1:]), t.dtype) for t in parts]
+        parts = [*res.hidden_states, res.logits]
+        if outs is None:  # only the outputs the chunk filled
+            outs = [None if t is None else np.empty((b, *t.shape[1:]), t.dtype) for t in parts]
         for out, t in zip(outs, parts):
-            out[lo:hi] = t.data
+            if t is not None:
+                out[lo:hi] = t.data
         del res, parts, t  # the chunk's outputs, before the next chunk runs
-    outs = [Tensor(a) for a in outs]
-    return ForwardResult(outs, None) if upto_layer is not None else ForwardResult(outs[:-1], outs[-1])
+    outs = [None if a is None else Tensor(a) for a in outs]
+    return ForwardResult(outs[:-1], outs[-1])
 
 
 def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, cache) -> ForwardResult:
@@ -246,7 +255,7 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         pos_ids = np.broadcast_to(np.arange(past, past + s), (b, s))
         attn_bias = _attention_bias(key_valid, s, params.dtype)
     emb = T.add(T.embedding(params["tok_emb"], tokens), T.embedding(params["pos_emb"], pos_ids))
-    hidden = [emb]
+    hidden = [emb if upto_layer in (None, 0) else None]
     x = T.reshape(emb, (b * s, d))  # the residual stream, one row per position
 
     for i in range(cfg.n_layers if upto_layer is None else upto_layer):
@@ -266,7 +275,7 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         m = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"], LN_EPS)
         f = T.gelu(T.add_bias(T.matmul(m, params[p + "mlp.w1"]), params[p + "mlp.b1"]))
         x = T.add(x, T.add_bias(T.matmul(f, params[p + "mlp.w2"]), params[p + "mlp.b2"]))
-        hidden.append(T.reshape(x, (b, s, d)))
+        hidden.append(T.reshape(x, (b, s, d)) if upto_layer in (None, i + 1) else None)
 
     if cache is not None:
         cache.length = past + s
@@ -287,7 +296,8 @@ def sequence_nll(
 
     loss_mask marks the *predicting* positions: a marked t scores
     logits[t] against tokens[t+1]. Returns (loss, n_scored); an all-false
-    mask yields a flagged (detached) zero.
+    mask yields a flagged (detached) zero. The final layer norm and the
+    output projection run on the marked rows only.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     loss_mask = np.asarray(loss_mask, dtype=bool)
@@ -300,9 +310,28 @@ def sequence_nll(
     if n_scored == 0:
         return Tensor(np.zeros((), dtype=params.dtype)), 0
 
-    res = forward(params, tokens, pad_mask)
-    flat_logits = T.reshape(res.logits, (b * s, params.config.vocab_size))
+    top = forward(params, tokens, pad_mask, upto_layer=params.config.n_layers).hidden_states[-1]
     rows_b, rows_t = np.nonzero(loss_mask)
-    picked = T.gather_rows(flat_logits, rows_b * s + rows_t)
-    targets = tokens[rows_b, rows_t + 1]
-    return T.cross_entropy_rows(picked, targets), n_scored
+    rows = rows_b * s + rows_t
+    fin = T.layer_norm(T.gather_rows(top, rows), params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
+    logits = _scored_head(fin, params["out_proj"], rows, b * s)
+    return T.cross_entropy_rows(logits, tokens[rows_b, rows_t + 1]), n_scored
+
+
+def _scored_head(fin: Tensor, out_proj: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
+    """fin @ out_proj, where fin holds the given rows of an n_rows-row batch.
+
+    Both gradients are products over all n_rows rows, zero outside `rows`,
+    as a head over every row forms them, so they keep its bits. Over the
+    given rows alone, OpenBLAS sums out_proj's gradient in another order,
+    and fin's too at 18 rows or fewer (float32, desk shapes).
+    """
+    a, w = fin.data, out_proj.data
+
+    def bwd(g):
+        a_all = np.zeros((n_rows, a.shape[1]), a.dtype)
+        g_all = np.zeros((n_rows, g.shape[1]), g.dtype)
+        a_all[rows], g_all[rows] = a, g
+        return (g_all @ w.T)[rows], a_all.T @ g_all
+
+    return T.apply_op("matmul", a @ w, (fin, out_proj), bwd)

@@ -285,19 +285,21 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick rows of a 2-D tensor: x[n,d], idx[m] -> [m,d]."""
+    """Pick rows of x[..., d], numbered over its leading dims: idx[m] -> [m,d]."""
     idx = np.asarray(idx)
-    if x.data.ndim != 2:
-        raise ShapeError(f"gather_rows: expected 2-D input, got {x.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= x.shape[0]):
-        raise IndexError(f"gather_rows: index outside [0, {x.shape[0]})")
+    if x.data.ndim < 2:
+        raise ShapeError(f"gather_rows: expected an input of 2 or more dims, got {x.shape}")
+    shape, dtype = x.data.shape, x.data.dtype
+    rows = x.data.reshape(-1, shape[-1])
+    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
+        raise IndexError(f"gather_rows: index outside [0, {rows.shape[0]})")
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        gx = np.zeros(shape, dtype)
+        np.add.at(gx.reshape(-1, shape[-1]), idx, g)
         return (gx,)
 
-    return apply_op("gather_rows", x.data[idx], (x,), bwd)
+    return apply_op("gather_rows", rows[idx], (x,), bwd)
 
 
 def _horner(t: np.ndarray, coefs: tuple, out: np.ndarray) -> np.ndarray:

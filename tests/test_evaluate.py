@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -317,6 +318,19 @@ class TestTranslationEval:
         params = init_params(MCFG, seed=5)
         result = E.translation_eval(params, FAMILY, "A", "B", n=4, max_new_tokens=6, k_shot=1, seed=6)
         assert result.n == 4
+
+    def test_prompt_without_room_for_its_reference_rejected(self):
+        prompts = []
+
+        def run(params, generate_fn):
+            return E.translation_eval(params, FAMILY, "A", "B", n=12, max_new_tokens=8, k_shot=1, seed=7, generate_fn=generate_fn)
+
+        refs = [r["ref"] for r in run(init_params(MCFG, seed=0), lambda p: prompts.append(p) or []).records]
+        # every prompt fits with a position to spare, but the longest cannot hold its reference
+        limit = max(len(p) for p in prompts) + 1
+        assert max(len(p) + len(r) for p, r in zip(prompts, refs)) > limit
+        with pytest.raises(UsageError, match=r"eval\.k_shot \(1\)"):
+            run(init_params(dataclasses.replace(MCFG, max_seq_len=limit), seed=0), lambda p: [])
 
 
 def full_prefix_decode(params, prompt, max_new_tokens, stop_token=C.SEP):

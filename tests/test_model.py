@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from afp import corpus as C
 from afp import model as M
 from afp import tensor as T
 from afp.config import RunConfig
@@ -12,6 +13,7 @@ from afp.gradcheck import grad_error
 from afp.model import ForwardResult, KVCache, ModelConfig, forward, init_params, param_shapes, sequence_nll
 from afp.rng import stream
 from afp.tensor import Graph, Tensor
+from afp.training import generate_corpus
 
 CFG = ModelConfig(vocab_size=19, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=12)
 
@@ -101,6 +103,7 @@ class TestForward:
             res = forward(params, tokens, upto_layer=layer)
             assert res.logits is None
             assert len(res.hidden_states) == layer + 1
+            assert all(h is None for h in res.hidden_states[:layer])
             np.testing.assert_array_equal(res.hidden_states[layer].data, full.hidden_states[layer].data)
 
     @pytest.mark.parametrize("layer", [-1, CFG.n_layers + 1])
@@ -148,13 +151,17 @@ class TestForward:
             forward(params, np.array([[CFG.vocab_size]]))
 
 
+def filled_outputs(a, b):
+    """(a, b) array pairs of every output both results fill, or None if they fill different ones."""
+    outs_a, outs_b = [*a.hidden_states, a.logits], [*b.hidden_states, b.logits]
+    if len(outs_a) != len(outs_b) or any((x is None) != (y is None) for x, y in zip(outs_a, outs_b)):
+        return None
+    return [(x.data, y.data) for x, y in zip(outs_a, outs_b) if x is not None]
+
+
 def same_forward(a, b):
-    return (
-        len(a.hidden_states) == len(b.hidden_states)
-        and all(x.data.dtype == y.data.dtype and np.array_equal(x.data, y.data) for x, y in zip(a.hidden_states, b.hidden_states))
-        and (a.logits is None) == (b.logits is None)
-        and (a.logits is None or np.array_equal(a.logits.data, b.logits.data))
-    )
+    arrays = filled_outputs(a, b)
+    return arrays is not None and all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in arrays)
 
 
 @pytest.fixture()
@@ -178,13 +185,8 @@ def unchunked_forward(monkeypatch, *args, **kwargs):
 
 
 def close_forward(a, b, rel):
-    arrays = [(x.data, y.data) for x, y in zip(a.hidden_states, b.hidden_states)]
-    arrays += [] if a.logits is None else [(a.logits.data, b.logits.data)]
-    return (
-        len(a.hidden_states) == len(b.hidden_states)
-        and (a.logits is None) == (b.logits is None)
-        and all(x.dtype == y.dtype and np.abs(x - y).max() <= rel * np.abs(y).max() for x, y in arrays)
-    )
+    arrays = filled_outputs(a, b)
+    return arrays is not None and all(x.dtype == y.dtype and np.abs(x - y).max() <= rel * np.abs(y).max() for x, y in arrays)
 
 
 # The default run config's model, whose float32 products keep their bits in
@@ -210,10 +212,15 @@ class TestChunkedForward:
         tokens = rand_tokens(rng, b, s, cfg.vocab_size)
         pad = np.arange(s)[None, :] < rng.integers(1, s + 1, size=(b, 1)) if case == "right-padded" else None
         params = init_params(cfg, seed=9, dtype=dtype)
+        # each early stop fills only its own layer, so every layer is compared
+        # in its own run; the full run compares every layer and the logits
         for layer in [*range(cfg.n_layers + 1), None]:
             chunk_calls.clear()
             got = forward(params, tokens, pad, upto_layer=layer)
             assert chunk_calls == chunks
+            filled = [i for i, h in enumerate(got.hidden_states) if h is not None]
+            assert filled == ([layer] if layer is not None else list(range(cfg.n_layers + 1)))
+            assert (got.logits is None) == (layer is not None)
             want = unchunked_forward(monkeypatch, params, tokens, pad, upto_layer=layer)
             if cfg is CHUNK_MODELS[0] and dtype == np.float32:
                 assert same_forward(got, want)
@@ -380,6 +387,69 @@ class TestSequenceNll:
                 coords_per_tensor=2,
             )
             assert err <= 1e-4, f"seed {seed}: {err}"
+
+
+def composed_nll(params, tokens, mask, pad):
+    """sequence_nll as full logits -> reshape -> gather_rows -> cross_entropy_rows."""
+    b, s = tokens.shape
+    flat = T.reshape(forward(params, tokens, pad).logits, (b * s, params.config.vocab_size))
+    rows_b, rows_t = np.nonzero(mask)
+    return T.cross_entropy_rows(T.gather_rows(flat, rows_b * s + rows_t), tokens[rows_b, rows_t + 1])
+
+
+@pytest.fixture(scope="module")
+def desk_corpus():
+    return generate_corpus(RunConfig())
+
+
+class TestScoredRowsHead:
+    """sequence_nll runs the head on the scored rows only, with the bits of the full head."""
+
+    def loss_and_grads(self, params, fn):
+        for _, t in params.named():
+            t.grad = None
+        with Graph() as g:
+            loss = fn()
+        shapes = [node.out.shape for node in g.nodes]
+        T.backward(g, loss)
+        return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.named()}, shapes
+
+    # (first train sample, scored positions kept): whole desk batches, and one
+    # with few scored rows, where OpenBLAS sums a product of those rows alone
+    # in another order than the full head's
+    @pytest.mark.parametrize("start, keep", [(0, None), (96, None), (0, 5)])
+    def test_loss_and_every_gradient_byte_equal_to_the_full_head(self, desk_corpus, start, keep):
+        params = init_params(RunConfig().model, seed=3)
+        batch = C.collate_cif(desk_corpus.train_cif[start : start + 32])
+        assert not batch.pad_mask.all() and batch.pad_mask[:, 0].all()  # right-padded
+        mask = batch.loss_mask.copy()
+        if keep is not None:
+            mask.flat[np.flatnonzero(mask)[keep:]] = False
+        args = (params, batch.tokens, mask, batch.pad_mask)
+        loss, grads, shapes = self.loss_and_grads(params, lambda: sequence_nll(*args)[0])
+        want_loss, want_grads, _ = self.loss_and_grads(params, lambda: composed_nll(*args))
+        vocab_rows = {shape[0] for shape in shapes if shape[-1:] == (params.config.vocab_size,)}
+        assert vocab_rows == {int(mask.sum())}  # logits of the scored rows only
+        assert loss == want_loss
+        assert list(grads) == list(want_grads)
+        assert all(grads[name] == want_grads[name] for name in grads)
+
+    def test_chunked_traced_peak_below_full_outputs(self, desk_corpus):
+        cfg = RunConfig().model
+        params = init_params(cfg, seed=3)
+        batch = C.collate_cif(desk_corpus.heldout_cif)
+        b, s = batch.tokens.shape
+        assert b * s > M.CHUNK_POSITIONS
+        tracemalloc.start()
+        try:
+            loss, _ = sequence_nll(params, batch.tokens, batch.loss_mask, batch.pad_mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loss.item() == composed_nll(params, batch.tokens, batch.loss_mask, batch.pad_mask).item()
+        # what a forward keeping the [b, s, vocab] logits and every hidden layer holds
+        full_outputs = b * s * 4 * (cfg.vocab_size + (cfg.n_layers + 1) * cfg.d_model)
+        assert peak < full_outputs
 
 
 class TestParams:

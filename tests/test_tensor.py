@@ -347,6 +347,10 @@ OPS = {
         lambda x: T.sum_all(T.mul(T.gather_rows(x, np.array([0, 2, 2])), t64(np.arange(9.0).reshape(3, 3)))),
         [rng.standard_normal((4, 3))],
     ),
+    "gather_rows_3d": lambda rng: (
+        lambda x: T.sum_all(T.mul(T.gather_rows(x, np.array([0, 5, 5, 3])), t64(np.arange(16.0).reshape(4, 4)))),
+        [rng.standard_normal((2, 3, 4))],
+    ),
     "scale": lambda rng: (
         lambda x: T.scale(T.sum_all(T.mul(x, x)), -0.37),
         [rng.standard_normal(6)],

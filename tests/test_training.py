@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -212,6 +213,19 @@ class TestTrain:
             reports[chunk] = heldout_metrics(params, tiny_corpus, cfg.train, step=0).to_json()
             assert (len(calls) > 3) == (chunk == 40)
         assert reports[40] == reports[10**9]
+
+    def test_desk_heldout_metrics_traced_peak(self):
+        cfg = RunConfig()
+        corpus = generate_corpus(cfg)
+        params = init_params(cfg.model, seed=cfg.seed)
+        tracemalloc.start()
+        try:
+            heldout_metrics(params, corpus, cfg.train, step=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 20.7 MB when every layer and the [b, s, vocab] logits were kept
+        assert peak <= 10e6
 
     def test_no_tape_tensor_alive_when_adamw_runs(self, tiny_corpus, monkeypatch):
         tapes, alive = [], []
