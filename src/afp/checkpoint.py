@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, ModelParams, param_shapes
 from .tensor import Tensor
 
@@ -84,6 +84,8 @@ def save_params(path, params: ModelParams) -> None:
 
 
 def load_params(path, config: ModelConfig) -> ModelParams:
+    """ModelParams from a checkpoint; a record missing or left over, a shape
+    that does not match config, or a non-finite value raises CheckpointError."""
     arrays = load_arrays(path)
     expected = param_shapes(config)
     missing = set(expected) - set(arrays)
@@ -93,10 +95,7 @@ def load_params(path, config: ModelConfig) -> ModelParams:
             f"{path}: parameter names do not match config "
             f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
         )
-    for name, shape in expected.items():
-        if arrays[name].shape != shape:
-            raise CheckpointError(f"{path}: {name}: shape {arrays[name].shape} does not match config {shape}")
-        if not np.isfinite(arrays[name]).all():
-            raise CheckpointError(f"{path}: {name}: non-finite values")
-    tensors = {name: Tensor(arrays[name], requires_grad=True) for name in expected}
-    return ModelParams(config, tensors)
+    try:
+        return ModelParams(config, {name: Tensor(arrays[name], requires_grad=True) for name in expected})
+    except ConfigError as exc:  # ModelParams checks each shape and value
+        raise CheckpointError(f"{path}: {exc}") from None

@@ -28,6 +28,7 @@ from .training import (
     SWEEP_KINDS,
     CorpusHandles,
     ablation_sweep,
+    check_fits,
     generate_corpus,
     heldout_metrics,
     sweep_value,
@@ -63,24 +64,6 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _fits(parser, model: ModelConfig):
-    """parser, then a check that the record fits the model: every token id in
-    [0, vocab_size), and no pair side or CIF sample longer than max_seq_len."""
-
-    def parse(obj):
-        rec = parser(obj)
-        seqs = [rec.input_tokens] if isinstance(rec, C.CifSample) else [rec.src_tokens, rec.tgt_tokens]
-        bad = [t for seq in seqs for t in seq if not 0 <= t < model.vocab_size]
-        if bad:
-            raise ConfigError(f"token id {bad[0]} outside the model's vocabulary [0, {model.vocab_size})")
-        longest = max(len(seq) for seq in seqs)
-        if longest > model.max_seq_len:
-            raise ConfigError(f"{longest} tokens exceed the model's max_seq_len {model.max_seq_len}")
-        return rec
-
-    return parse
-
-
 def _load_corpus_dir(corpus_dir: str, model: ModelConfig) -> CorpusHandles:
     for name in CORPUS_FILES:
         if not os.path.exists(os.path.join(corpus_dir, name)):
@@ -93,7 +76,7 @@ def _load_corpus_dir(corpus_dir: str, model: ModelConfig) -> CorpusHandles:
             raise CheckpointError(f"{path}: {exc}") from None
 
     def load(name, parser):
-        return C.load_jsonl(os.path.join(corpus_dir, name), _fits(parser, model))
+        return C.load_jsonl(os.path.join(corpus_dir, name), lambda obj: check_fits(parser(obj), model))
 
     return CorpusHandles(
         family=family,
@@ -200,7 +183,7 @@ def cmd_export_embeddings(args) -> int:
     params = load_params(args.checkpoint, cfg.model)
     layer = args.layer if args.layer is not None else cfg.train.align_layer
     pooling = args.pooling or cfg.train.pooling
-    pairs = C.load_jsonl(args.corpus, _fits(C.TranslationPair.from_json, cfg.model))
+    pairs = C.load_jsonl(args.corpus, lambda obj: check_fits(C.TranslationPair.from_json(obj), cfg.model))
     if not pairs:
         raise UsageError(f"no pair records in {args.corpus!r}")
     sentences = [(p.src_lang, p.src_tokens) for p in pairs] + [(p.tgt_lang, p.tgt_tokens) for p in pairs]

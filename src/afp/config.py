@@ -109,8 +109,8 @@ class EvalConfig:
     eval_tgt_lang: str = "L1"
 
     def __post_init__(self):
-        if self.n_examples < 0 or self.k_shot < 0 or self.max_new_tokens < 1:
-            raise ConfigError("eval sizes out of range")
+        if self.n_examples < 1 or self.k_shot < 0 or self.max_new_tokens < 1:
+            raise ConfigError("eval.n_examples and eval.max_new_tokens must be >= 1, and eval.k_shot >= 0")
 
 
 @dataclass

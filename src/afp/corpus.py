@@ -240,8 +240,6 @@ def make_family(concept_count: int, langs_config, seed: int, length_bounds=(3, 8
         else:
             name, transform = entry
             specs.append((str(name), str(transform)))
-    if len(specs) < 2:
-        raise ConfigError("need at least 2 languages")
 
     rng = stream(seed, "family")
     langtag = {name: N_SHARED_SPECIALS + i for i, (name, _) in enumerate(specs)}
@@ -399,12 +397,24 @@ class CifSample:
         )
         if len(sample.loss_mask) != len(sample.input_tokens):
             raise ValueError(f"{len(sample.input_tokens)} input tokens but {len(sample.loss_mask)} loss-mask entries")
+        if not any(sample.loss_mask[1:]):
+            raise ValueError("loss_mask marks no token after the first, so the record scores no prediction")
         return sample
 
 
 def cif_prompt(family: TwinLanguageFamily, task: str, context, tgt_lang: str) -> list[int]:
     """Everything up to and including the prompt SEP (what generation conditions on)."""
     return [BOS, TASK_TAGS[task]] + list(context) + [family.langtag[tgt_lang], SEP]
+
+
+def instruction(family: TwinLanguageFamily, task: str, context, src_lang: str, tgt_lang: str):
+    """(prompt, response) for a context in src_lang: the cif_prompt, and the
+    exact answer in tgt_lang, which is the context translated ("copy") or the
+    reversed context translated ("reverse"), without the terminal SEP."""
+    if task not in TASK_TAGS:
+        raise UsageError(f"unknown task {task!r}")
+    answer = list(context) if task == "copy" else list(reversed(context))
+    return cif_prompt(family, task, context, tgt_lang), translate(family, answer, src_lang, tgt_lang)
 
 
 def make_cif_sample(
@@ -418,20 +428,15 @@ def make_cif_sample(
     language, otherwise in a uniformly drawn other language."""
     if not 0.0 <= p_src <= 1.0:
         raise UsageError(f"p_src must be in [0, 1], got {p_src}")
-    if task not in TASK_TAGS:
-        raise UsageError(f"unknown task {task!r}")
     context = sample_sentence(family, src_lang, rng)
     if rng.random() < p_src:
         tgt_lang = src_lang
     else:
         others = [n for n in family.lang_names if n != src_lang]
         tgt_lang = str(others[rng.integers(len(others))])
-    response_src = context if task == "copy" else list(reversed(context))
-    response = translate(family, response_src, src_lang, tgt_lang)
-    tokens = cif_prompt(family, task, context, tgt_lang) + response + [SEP]
-    n_prompt = len(tokens) - len(response) - 1
-    mask = [False] * n_prompt + [True] * (len(response) + 1)
-    return CifSample(source_lang=src_lang, target_lang=tgt_lang, input_tokens=tokens, loss_mask=mask)
+    prompt, response = instruction(family, task, context, src_lang, tgt_lang)
+    mask = [False] * len(prompt) + [True] * (len(response) + 1)
+    return CifSample(source_lang=src_lang, target_lang=tgt_lang, input_tokens=prompt + response + [SEP], loss_mask=mask)
 
 
 @dataclass

@@ -46,10 +46,9 @@ class EvalResult:
     score: float
     records: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
-    flagged: bool = False
 
     def __post_init__(self):
-        if not self.flagged and not 0.0 <= self.score <= 1.0:
+        if not 0.0 <= self.score <= 1.0:
             raise UsageError(f"score {self.score} outside [0, 1]")
 
     def to_json(self) -> dict:
@@ -58,7 +57,6 @@ class EvalResult:
             "n": self.n,
             "score": self.score,
             "details": self.details,
-            "flagged": self.flagged,
             "examples": self.records,
         }
 
@@ -203,10 +201,10 @@ def classification_eval(
 ) -> EvalResult:
     """Accuracy over n fresh queries with template.k demonstrations drawn
     from a disjoint stream. `scorer(prompt, candidates) -> (index, loglikes)`
-    defaults to model scoring. A prompt that cannot fit max_seq_len with its
-    longest candidate raises UsageError."""
-    if n == 0:
-        return EvalResult(task=task_spec.name, n=0, score=0.0, flagged=True)
+    defaults to model scoring. n < 1, or a prompt that cannot fit
+    max_seq_len with its longest candidate, raises UsageError."""
+    if n < 1:
+        raise UsageError(f"classification needs at least one query, got n={n}")
     if scorer is None:
         scorer = lambda prompt, cands: score_candidates(params, prompt, cands)
     demo_rng = stream(seed, "demos")
@@ -249,26 +247,32 @@ def translation_eval(
 
     Prompts mirror the instruction-sample layout (task tag, source sentence,
     target-language tag, SEP), with k_shot completed demonstrations in front.
-    Scores: exact-match rate (primary) and corpus BLEU. A prompt that
-    leaves fewer positions than its reference needs raises UsageError.
+    Scores: exact-match rate (primary) and corpus BLEU. Raises UsageError
+    for n < 1, for max_new_tokens below the longest sentence (a reference
+    is as long as its source), or for a prompt that leaves fewer positions
+    than its reference needs.
     """
-    if n == 0:
-        return EvalResult(task="translation", n=0, score=0.0, flagged=True)
+    if n < 1:
+        raise UsageError(f"translation needs at least one example, got n={n}")
+    longest = family.length_bounds[1]
+    if max_new_tokens < longest:
+        raise UsageError(
+            f"eval.max_new_tokens {max_new_tokens} cannot hold a {longest}-token reference; "
+            f"raise it to at least {longest}"
+        )
     if generate_fn is None:
         generate_fn = lambda prompt: greedy_decode(params, prompt, max_new_tokens, stop_token=C.SEP)
     rng = stream(seed, "translation")
-    task_fn = (lambda toks: list(toks)) if task == "copy" else (lambda toks: list(reversed(toks)))
     hyps, refs, records = [], [], []
     exact = 0
     for i in range(n):
         demo_part: list[int] = []
         for _ in range(k_shot):
-            d_src = C.sample_sentence(family, src_lang, rng)
-            d_ref = C.translate(family, task_fn(d_src), src_lang, tgt_lang)
-            demo_part += C.cif_prompt(family, task, d_src, tgt_lang)[1:] + d_ref + [C.SEP]
+            d_prompt, d_ref = C.instruction(family, task, C.sample_sentence(family, src_lang, rng), src_lang, tgt_lang)
+            demo_part += d_prompt[1:] + d_ref + [C.SEP]
         src = C.sample_sentence(family, src_lang, rng)
-        ref = C.translate(family, task_fn(src), src_lang, tgt_lang)
-        prompt = [C.BOS] + demo_part + C.cif_prompt(family, task, src, tgt_lang)[1:]
+        query, ref = C.instruction(family, task, src, src_lang, tgt_lang)
+        prompt = [C.BOS] + demo_part + query[1:]
         if len(prompt) + len(ref) > params.config.max_seq_len:
             raise UsageError(
                 f"a {len(prompt)}-token prompt leaves no room for its {len(ref)}-token reference within "

@@ -88,7 +88,7 @@ def loss_gradcheck(n_seeds: int = 20, coords_per_tensor: int = 1) -> dict[str, f
             return cif_loss(params, cif_batch)[0]
 
         def afp_fn():
-            return afp_loss(params, pair_batch, cif_batch, tcfg)[0]
+            return afp_loss(params, pair_batch, cif_batch, tcfg)
 
         leaves = [t for _, t in params.named()]
         for name, fn in (("mcl_loss", mcl_fn), ("cif_loss", cif_fn), ("afp_loss", afp_fn)):

@@ -55,25 +55,16 @@ def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, 
     return pool(res.hidden_states[layer], pad, pooling, layer=layer)
 
 
-def afp_loss(
-    params: ModelParams,
-    mcl_batch: PairBatch,
-    cif_batch: TokenBatch,
-    config,
-) -> tuple[Tensor, dict]:
+def afp_loss(params: ModelParams, mcl_batch: PairBatch, cif_batch: TokenBatch, config) -> Tensor:
     """Combined loss L_MCL + alpha * L_CIF.
 
     Anchors and positives are embedded at config.align_layer from the source
     side of the pair batch, then from its target side, on the calling thread.
     At alpha = 0 the loss is L_MCL alone and the CIF forward is skipped.
-    Returns (total, components) with float components for logging; "cif" is
-    present only when CIF was computed.
     """
     h = embed(params, mcl_batch.src_tokens, mcl_batch.src_pad, config.align_layer, config.pooling)
     h_plus = embed(params, mcl_batch.tgt_tokens, mcl_batch.tgt_pad, config.align_layer, config.pooling)
     mcl = mcl_loss(h, h_plus, config.tau, symmetric=config.symmetric_mcl)
     if config.alpha == 0:
-        return mcl, {"mcl": mcl.item()}
-    cif, _ = cif_loss(params, cif_batch)
-    total = T.add(mcl, T.scale(cif, config.alpha))
-    return total, {"mcl": mcl.item(), "cif": cif.item()}
+        return mcl
+    return T.add(mcl, T.scale(cif_loss(params, cif_batch)[0], config.alpha))

@@ -296,8 +296,9 @@ def sequence_nll(
 
     loss_mask marks the *predicting* positions: a marked t scores
     logits[t] against tokens[t+1]. Returns (loss, n_scored); an all-false
-    mask yields a flagged (detached) zero. The final layer norm and the
-    output projection run on the marked rows only.
+    mask raises ShapeError (`CifSample.from_json` rejects a record that
+    scores nothing). The final layer norm and the output projection run on
+    the marked rows only.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     loss_mask = np.asarray(loss_mask, dtype=bool)
@@ -306,16 +307,15 @@ def sequence_nll(
     b, s = tokens.shape
     if loss_mask[:, -1].any():
         raise UsageError("sequence_nll: last position has no next token to score")
-    n_scored = int(loss_mask.sum())
-    if n_scored == 0:
-        return Tensor(np.zeros((), dtype=params.dtype)), 0
+    if not loss_mask.any():
+        raise ShapeError("sequence_nll: loss_mask marks no position to score")
 
     top = forward(params, tokens, pad_mask, upto_layer=params.config.n_layers).hidden_states[-1]
     rows_b, rows_t = np.nonzero(loss_mask)
     rows = rows_b * s + rows_t
     fin = T.layer_norm(T.gather_rows(top, rows), params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
     logits = _scored_head(fin, params["out_proj"], rows, b * s)
-    return T.cross_entropy_rows(logits, tokens[rows_b, rows_t + 1]), n_scored
+    return T.cross_entropy_rows(logits, tokens[rows_b, rows_t + 1]), len(rows)
 
 
 def _scored_head(fin: Tensor, out_proj: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:

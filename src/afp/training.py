@@ -11,7 +11,7 @@ from . import corpus as C
 from .atomic import atomic_write
 from .checkpoint import save_params
 from .config import RunConfig, TrainConfig
-from .errors import NumericError, TrainingError, UsageError
+from .errors import ConfigError, NumericError, TrainingError, UsageError
 from .evaluate import translation_eval
 from .losses import afp_loss, cif_loss, embed, mcl_loss
 # forward and pool are unused here; the benchmark's span tracer patches them by name.
@@ -86,6 +86,19 @@ def generate_corpus(cfg: RunConfig) -> CorpusHandles:
         for _ in range(cc.n_heldout_cif)
     ]
     return CorpusHandles(family, pairs, train_cif, heldout_pairs, heldout_cif)
+
+
+def check_fits(record, model: ModelConfig):
+    """The record, once it fits the model: every token id in [0, vocab_size),
+    and no pair side or CIF sample longer than max_seq_len (ConfigError)."""
+    seqs = [record.input_tokens] if isinstance(record, C.CifSample) else [record.src_tokens, record.tgt_tokens]
+    bad = [t for seq in seqs for t in seq if not 0 <= t < model.vocab_size]
+    if bad:
+        raise ConfigError(f"token id {bad[0]} outside the model's vocabulary [0, {model.vocab_size})")
+    longest = max(len(seq) for seq in seqs)
+    if longest > model.max_seq_len:
+        raise ConfigError(f"{longest} tokens exceed the model's max_seq_len {model.max_seq_len}")
+    return record
 
 
 def _epoch_batches(dataset, batch_size, seed, epoch):
@@ -166,7 +179,7 @@ def train(
         cif_batch = next(cif_stream)
         try:
             with Graph() as g:
-                loss, _ = afp_loss(params, pair_batch, cif_batch, train_config)
+                loss = afp_loss(params, pair_batch, cif_batch, train_config)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericError(f"non-finite loss {value}")
@@ -251,10 +264,12 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
     """
     if grid is None:
         grid = default_grid(kind, base_config.model)
+    configs = [_with_value(base_config, kind, value) for value in grid]  # every value is checked before any training
     rows = []
-    for value in grid:
-        cfg = _with_value(base_config, kind, value)
+    for value, cfg in zip(grid, configs):
         corpus = generate_corpus(cfg)
+        for record in corpus.train_pairs + corpus.train_cif + corpus.heldout_pairs + corpus.heldout_cif:
+            check_fits(record, cfg.model)
         result = train(cfg.model, cfg.train, corpus, seed=cfg.seed)
         final = result.reports[-1]  # train always reports at its final step
         pair_audit = C.audit_pairs(corpus.train_pairs)

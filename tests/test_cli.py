@@ -12,6 +12,7 @@ import pytest
 from afp import cli
 from afp import corpus as C
 from afp import tensor as T
+from afp import training
 from afp.checkpoint import load_params, save_params
 from afp.config import load_config
 from afp.model import forward, init_params
@@ -311,6 +312,14 @@ class TestEval:
         assert "eval.k_shot" in err and "max_seq_len 48" in err
         assert not out.exists()
 
+    def test_max_new_tokens_below_longest_sentence_exit_2(self, trained, tmp_path, capsys):
+        _, cfg, ckpt = trained
+        out = tmp_path / "result.json"
+        argv = ["eval", "--checkpoint", str(ckpt), "--config", cfg, "--task", "translation", "--out", str(out)]
+        assert run_cli([*argv, "--set", "eval.max_new_tokens=2"]) == 2
+        assert "eval.max_new_tokens 2 cannot hold a 5-token reference" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_shape_checkpoint_exit_5(self, trained, capsys):
         _, cfg, ckpt = trained
         # same layer count, so the names match; a wider MLP changes the shapes
@@ -391,6 +400,16 @@ class TestCorruptCorpus:
         assert run_cli(["metrics", "--checkpoint", str(ckpt), "--config", cfg]) == 5
         err = capsys.readouterr().err
         assert "heldout.jsonl line 3" in err and "tgt" in err
+
+    @pytest.mark.parametrize("first_only", [False, True])
+    def test_unscored_heldout_cif_record_exit_5(self, trained, capsys, first_only):
+        # a mask set at position 0 alone scores nothing: that position predicts no token
+        tmp, cfg, ckpt = trained
+        unscored = lambda rec: rec.update(loss_mask=[first_only] + [False] * (len(rec["loss_mask"]) - 1))
+        rewrite_record(tmp / "corpus" / "heldout_cif.jsonl", 2, unscored)
+        assert run_cli(["metrics", "--checkpoint", str(ckpt), "--config", cfg]) == 5
+        err = capsys.readouterr().err
+        assert "corrupt artifact" in err and "heldout_cif.jsonl line 2" in err and "scores no prediction" in err
 
     def test_truncated_family_file_exit_5(self, ws, capsys):
         tmp, cfg = ws
@@ -544,6 +563,30 @@ class TestSweepCommand:
                  "--grid", "1.5", "--set", "train.steps=2", "--set", "eval.n_examples=4"]
             )
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--kind", "alpha", "--grid", "1.5", "--set", "eval.n_examples=0"], "eval.n_examples"),
+            (["--kind", "alpha", "--grid", "1.5", "--set", "model.max_seq_len=10"], "exceed the model's max_seq_len 10"),
+            (["--kind", "alpha", "--grid", "1.5", "--set", "model.vocab_size=20"], "outside the model's vocabulary [0, 20)"),
+            # a bad value after a good one
+            (["--kind", "p_src", "--grid", "0.5,1.5"], "p_src must be in [0, 1]"),
+            (["--kind", "pooling", "--grid", "mean,cls"], "unknown pooling 'cls'"),
+            (["--kind", "policy", "--grid", "pivot,ring"], "unknown policy 'ring'"),
+        ],
+    )
+    def test_bad_input_exit_2_before_training(self, ws, monkeypatch, capsys, args, message):
+        def no_train(*a, **kw):
+            raise AssertionError("a grid point trained")
+
+        monkeypatch.setattr(training, "train", no_train)
+        tmp, cfg = ws
+        out = tmp / "s.csv"
+        assert run_cli(["sweep", "--config", cfg, "--out", str(out), *args]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSeedPrecedence:

@@ -49,6 +49,8 @@ class TestValidation:
             config_from_dict({"train": {"p_src": 1.5}}, env={})
         with pytest.raises(ConfigError):
             config_from_dict({"corpus": {"policy": "ring"}}, env={})
+        with pytest.raises(ConfigError, match="eval.n_examples"):
+            config_from_dict({"eval": {"n_examples": 0}}, env={})
 
 
 class TestRoundTrip:

@@ -430,6 +430,14 @@ class TestCifSamples:
         s = C.make_cif_sample(family, "reverse", "A", 0.5, stream(18, "json"))
         assert C.CifSample.from_json(json.loads(json.dumps(s.to_json()))) == s
 
+    @pytest.mark.parametrize("mask", [lambda n: [False] * n, lambda n: [True] + [False] * (n - 1)])
+    def test_record_that_scores_nothing_rejected(self, family, mask):
+        # position 0 predicts nothing, so a mask set there alone scores no token
+        obj = C.make_cif_sample(family, "copy", "A", 0.5, stream(18, "unscored")).to_json()
+        obj["loss_mask"] = mask(len(obj["input_tokens"]))
+        with pytest.raises(CheckpointError, match="scores no prediction"):
+            C.CifSample.from_json(obj)
+
 
 class TestBatchIter:
     def make_cifs(self, family, n):

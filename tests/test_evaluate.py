@@ -253,10 +253,10 @@ class TestClassificationEval:
         assert result.score == 1.0
         assert base_b > 0
 
-    def test_n_zero_flagged(self):
+    def test_n_zero_rejected(self):
         template = E.Template(k=0, verbalizer=self.task().verbalizer())
-        result = E.classification_eval(init_params(MCFG, seed=0), self.task(), template, n=0, seed=0)
-        assert result.flagged and result.n == 0
+        with pytest.raises(UsageError, match="at least one query"):
+            E.classification_eval(init_params(MCFG, seed=0), self.task(), template, n=0, seed=0)
 
     def test_chosen_index_is_argmax_of_records(self):
         params = init_params(MCFG, seed=8)
@@ -318,6 +318,24 @@ class TestTranslationEval:
         params = init_params(MCFG, seed=5)
         result = E.translation_eval(params, FAMILY, "A", "B", n=4, max_new_tokens=6, k_shot=1, seed=6)
         assert result.n == 4
+
+    def test_n_zero_rejected(self):
+        with pytest.raises(UsageError, match="at least one example"):
+            E.translation_eval(init_params(MCFG, seed=0), FAMILY, "A", "B", n=0, max_new_tokens=8)
+
+    def test_max_new_tokens_below_longest_sentence_rejected_before_any_query(self):
+        def generate(prompt):
+            raise AssertionError("no query should run")
+
+        # FAMILY's sentences have 3 to 5 tokens, and a reference is as long as its source
+        with pytest.raises(UsageError, match=r"eval\.max_new_tokens 4 .* 5-token reference"):
+            E.translation_eval(init_params(MCFG, seed=0), FAMILY, "A", "B", n=4, max_new_tokens=4, generate_fn=generate)
+        result = E.translation_eval(init_params(MCFG, seed=0), FAMILY, "A", "B", n=4, max_new_tokens=5)
+        assert result.n == 4
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(UsageError, match="unknown task"):
+            E.translation_eval(init_params(MCFG, seed=0), FAMILY, "A", "B", n=2, max_new_tokens=8, task="rot13")
 
     def test_prompt_without_room_for_its_reference_rejected(self):
         prompts = []

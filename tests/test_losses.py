@@ -186,6 +186,12 @@ class TestAfpLoss:
         cifs = [C.make_cif_sample(family, "copy", "A", 0.5, rng) for _ in range(4)]
         return C.collate_pairs(pairs[:4]), C.collate_cif(cifs)
 
+    @staticmethod
+    def mcl(params, pair_batch, cfg):
+        h = embed(params, pair_batch.src_tokens, pair_batch.src_pad, cfg.align_layer, cfg.pooling)
+        h_plus = embed(params, pair_batch.tgt_tokens, pair_batch.tgt_pad, cfg.align_layer, cfg.pooling)
+        return mcl_loss(h, h_plus, cfg.tau, symmetric=cfg.symmetric_mcl)
+
     def test_alpha_zero_equals_mcl_exactly(self, tiny, monkeypatch):
         family, _, params = tiny
         pair_batch, cif_batch = self.make_batches(family, 12)
@@ -195,9 +201,8 @@ class TestAfpLoss:
 
         monkeypatch.setattr(losses, "cif_loss", no_cif)
         cfg = TrainConfig(alpha=0.0, tau=0.05, align_layer=1)
-        total, comps = afp_loss(params, pair_batch, cif_batch, cfg)
-        assert total.item() == comps["mcl"]
-        assert list(comps) == ["mcl"]
+        total = afp_loss(params, pair_batch, cif_batch, cfg)
+        assert total.item() == self.mcl(params, pair_batch, cfg).item()
 
     def test_weighted_arithmetic(self):
         assert 0.4 + 1.5 * 0.2 == pytest.approx(0.7)
@@ -206,8 +211,10 @@ class TestAfpLoss:
         family, _, params = tiny
         pair_batch, cif_batch = self.make_batches(family, 13)
         cfg = TrainConfig(alpha=1.5, tau=0.05, align_layer=1)
-        total, comps = afp_loss(params, pair_batch, cif_batch, cfg)
-        assert total.item() == pytest.approx(comps["mcl"] + 1.5 * comps["cif"], abs=1e-12)
+        total = afp_loss(params, pair_batch, cif_batch, cfg)
+        mcl = self.mcl(params, pair_batch, cfg).item()
+        cif = cif_loss(params, cif_batch)[0].item()
+        assert total.item() == pytest.approx(mcl + 1.5 * cif, abs=1e-12)
 
     def test_align_layer_out_of_range(self, tiny):
         family, _, params = tiny
@@ -223,7 +230,7 @@ class TestAfpLoss:
             cfg = TrainConfig(alpha=1.5, tau=0.05, align_layer=1)
             leaves = [t for _, t in params.named()]
             err = grad_error(
-                lambda: afp_loss(params, pair_batch, cif_batch, cfg)[0],
+                lambda: afp_loss(params, pair_batch, cif_batch, cfg),
                 leaves,
                 stream(seed, "afp-fd"),
                 coords_per_tensor=2,

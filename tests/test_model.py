@@ -335,12 +335,11 @@ class TestSequenceNll:
         assert n == 16
         assert abs(loss.item() - math.log(CFG.vocab_size)) / math.log(CFG.vocab_size) < 0.05
 
-    def test_all_false_mask_flagged_zero(self):
+    def test_all_false_mask_rejected(self):
         params = init_params(CFG, seed=0)
         tokens = rand_tokens(stream(5, "nll0"), 2, 4)
-        loss, n = sequence_nll(params, tokens, np.zeros_like(tokens, dtype=bool))
-        assert n == 0
-        assert loss.item() == 0.0
+        with pytest.raises(ShapeError, match="no position to score"):
+            sequence_nll(params, tokens, np.zeros_like(tokens, dtype=bool))
 
     def test_position_by_position_oracle(self):
         params = init_params(CFG, seed=6).astype(np.float64)

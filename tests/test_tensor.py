@@ -1,4 +1,7 @@
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
@@ -526,3 +529,20 @@ class TestTensorBasics:
     def test_int_input_becomes_float32(self):
         x = Tensor([1, 2, 3])
         assert x.dtype == np.float32
+
+
+def test_blas_runs_on_one_thread():
+    # conftest.py pins BLAS; read the count back from the OpenBLAS bundled with numpy
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas*"))
+    counts = []
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                counts.append(int(fn()))
+                break
+    if not counts:
+        pytest.skip("numpy bundles no OpenBLAS whose thread count can be read")
+    assert counts == [1] * len(counts)
