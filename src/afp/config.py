@@ -133,6 +133,10 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.train.align_layer > self.model.n_layers:
+            raise ConfigError(f"train.align_layer {self.train.align_layer} outside [0, {self.model.n_layers}]")
+
 
 _SECTIONS = {
     "model": ModelConfig,

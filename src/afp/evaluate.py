@@ -231,6 +231,16 @@ def classification_eval(
     return EvalResult(task=task_spec.name, n=n, score=hits / n, records=records)
 
 
+def check_max_new_tokens(max_new_tokens: int, longest: int) -> None:
+    """UsageError unless max_new_tokens holds a reference of `longest` tokens,
+    the longest sentence of the family (a reference is as long as its source)."""
+    if max_new_tokens < longest:
+        raise UsageError(
+            f"eval.max_new_tokens {max_new_tokens} cannot hold a {longest}-token reference; "
+            f"raise it to at least {longest}"
+        )
+
+
 def translation_eval(
     params: ModelParams,
     family: C.TwinLanguageFamily,
@@ -254,12 +264,7 @@ def translation_eval(
     """
     if n < 1:
         raise UsageError(f"translation needs at least one example, got n={n}")
-    longest = family.length_bounds[1]
-    if max_new_tokens < longest:
-        raise UsageError(
-            f"eval.max_new_tokens {max_new_tokens} cannot hold a {longest}-token reference; "
-            f"raise it to at least {longest}"
-        )
+    check_max_new_tokens(max_new_tokens, family.length_bounds[1])
     if generate_fn is None:
         generate_fn = lambda prompt: greedy_decode(params, prompt, max_new_tokens, stop_token=C.SEP)
     rng = stream(seed, "translation")

@@ -13,7 +13,7 @@ from . import tensor as T
 from .corpus import PairBatch, TokenBatch
 from .errors import UsageError
 from .model import ModelParams, forward, sequence_nll
-from .represent import PooledBatch, pool
+from .represent import PooledBatch, pool, pooled_positions
 from .tensor import Tensor
 
 
@@ -50,8 +50,9 @@ def cif_loss(params: ModelParams, batch: TokenBatch) -> tuple[Tensor, int]:
 
 
 def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, pooling: str) -> PooledBatch:
-    """Pooled hidden_states[layer] of a forward that stops after block `layer`."""
-    res = forward(params, tokens, pad, upto_layer=layer)
+    """Pooled hidden_states[layer] of a forward that stops after block `layer`;
+    graph-free, it computes only the positions the pooling reads."""
+    res = forward(params, tokens, pad, upto_layer=layer, read=pooled_positions(pad, pooling))
     return pool(res.hidden_states[layer], pad, pooling, layer=layer)
 
 

@@ -142,7 +142,8 @@ class ForwardResult:
     """Outputs of forward(). A full forward fills every layer of
     hidden_states (index 0 = embeddings). With upto_layer=L there are still
     L + 1 entries, but only index L is filled and the lower ones are None,
-    so a forward keeps only the layer its caller reads."""
+    so a forward keeps only the layer its caller reads. A graph-free forward
+    given `read` holds zeros outside the read positions."""
 
     hidden_states: list  # [batch, seq, d_model] Tensor, or None below upto_layer
     logits: Tensor | None  # [batch, seq, vocab]; None when stopped early
@@ -178,6 +179,7 @@ def forward(
     pad_mask: np.ndarray | None = None,
     upto_layer: int | None = None,
     cache: KVCache | None = None,
+    read: np.ndarray | None = None,
 ) -> ForwardResult:
     """Causal forward pass over a [batch, seq] token matrix.
 
@@ -186,6 +188,13 @@ def forward(
     tokens continue the cached positions (see KVCache). With neither a cache
     nor an open Graph, a batch of more than CHUNK_POSITIONS positions runs in
     chunks of whole rows.
+
+    read, a [batch, seq] mask, names the positions the caller reads; each
+    needs a valid position at or before it in its row. With no open Graph,
+    the forward then computes only what they depend on (see _live_rows), and
+    every output holds zeros elsewhere. A recording forward ignores it and
+    computes every position: a weight gradient summed over fewer rows would
+    change its bits.
     """
     cfg = params.config
     if upto_layer is not None and not 0 <= upto_layer <= cfg.n_layers:
@@ -206,17 +215,25 @@ def forward(
     pad_mask = np.asarray(pad_mask, dtype=bool)
     if pad_mask.shape != (b, s):
         raise ShapeError(f"forward: pad_mask {pad_mask.shape} vs tokens {(b, s)}")
+    if read is not None:
+        read = np.asarray(read, dtype=bool)
+        if read.shape != (b, s):
+            raise ShapeError(f"forward: read {read.shape} vs tokens {(b, s)}")
+        if (read & ~np.logical_or.accumulate(pad_mask, axis=1)).any():
+            raise UsageError("forward: a read position has no valid position at or before it")
     if cache is not None:
         if T.recording():
             raise UsageError("forward: a KV cache is for inference; close the Graph first")
-        if upto_layer is not None or b != 1 or not pad_mask.all():
-            raise UsageError("forward: a KV cache needs every block and one unpadded row")
-    elif b * s > CHUNK_POSITIONS and not T.recording():
-        return _chunked_forward(params, tokens, pad_mask, upto_layer)
-    return _forward(params, tokens, pad_mask, upto_layer, cache)
+        if upto_layer is not None or read is not None or b != 1 or not pad_mask.all():
+            raise UsageError("forward: a KV cache needs every block, every position and one unpadded row")
+    elif T.recording():
+        read = None
+    elif b * s > CHUNK_POSITIONS:
+        return _chunked_forward(params, tokens, pad_mask, upto_layer, read)
+    return _forward(params, tokens, pad_mask, upto_layer, cache, read)
 
 
-def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer) -> ForwardResult:
+def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, read) -> ForwardResult:
     """_forward over chunks of whole rows (see CHUNK_POSITIONS).
 
     Every op but matmul works row by row, and an OpenBLAS product row keeps
@@ -230,7 +247,7 @@ def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarr
         del bounds[-2]  # fold a lone last position into the chunk before
     outs = None
     for lo, hi in zip(bounds, bounds[1:]):
-        res = _forward(params, tokens[lo:hi], pad_mask[lo:hi], upto_layer, None)
+        res = _forward(params, tokens[lo:hi], pad_mask[lo:hi], upto_layer, None, None if read is None else read[lo:hi])
         parts = [*res.hidden_states, res.logits]
         if outs is None:  # only the outputs the chunk filled
             outs = [None if t is None else np.empty((b, *t.shape[1:]), t.dtype) for t in parts]
@@ -242,11 +259,46 @@ def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarr
     return ForwardResult(outs[:-1], outs[-1])
 
 
-def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, cache) -> ForwardResult:
-    """The blocks of forward() over arguments it has checked, in one piece."""
+def _live_rows(pad_mask: np.ndarray, read: np.ndarray, n_blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions (live, top) of a forward that computes only what `read` depends on.
+
+    top holds the read positions. live adds every valid position at or
+    before its row's last read one: the keys that the read positions reach
+    through n_blocks causal blocks (with no block, live is top). A set of one
+    position in a batch of more is that position twice, since a one-row
+    product (a gemv) rounds differently from the same row in a larger one.
+    """
+
+    def rows(mask):
+        idx = np.flatnonzero(mask)
+        return np.repeat(idx, 2) if idx.size == 1 and mask.size > 1 else idx
+
+    top = rows(read)
+    if n_blocks == 0:
+        return top, top
+    ahead = np.logical_or.accumulate(read[:, ::-1], axis=1)[:, ::-1]  # a read position here or later
+    return rows(ahead & (pad_mask | read)), top
+
+
+def _spread(x: Tensor, rows: np.ndarray, shape: tuple) -> Tensor:
+    """x's rows at flat positions `rows` of a zero array of the given shape."""
+    out = np.zeros(shape, x.dtype)
+    out.reshape(-1, shape[-1])[rows] = x.data
+    return Tensor(out)
+
+
+def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, cache, read) -> ForwardResult:
+    """The blocks of forward() over arguments it has checked, in one piece.
+
+    With `read`, the residual stream holds the live rows only, and in the
+    last block only the read rows continue past attention (see _live_rows).
+    Attention itself runs over every position, with zero queries, keys and
+    values where a row was skipped: a masked key weighs exactly 0.
+    """
     cfg = params.config
     b, s = tokens.shape
     d, h = cfg.d_model, cfg.n_heads
+    n_blocks = cfg.n_layers if upto_layer is None else upto_layer
     past = 0 if cache is None else cache.length
     if cache is not None and s == 1:  # one new token of one unpadded row: it sees every key
         pos_ids, attn_bias = np.array([[past]]), np.zeros((1, 1, 1, past + 1), params.dtype)
@@ -254,11 +306,23 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         key_valid = pad_mask if cache is None else np.ones((1, past + s), dtype=bool)
         pos_ids = np.broadcast_to(np.arange(past, past + s), (b, s))
         attn_bias = _attention_bias(key_valid, s, params.dtype)
-    emb = T.add(T.embedding(params["tok_emb"], tokens), T.embedding(params["pos_emb"], pos_ids))
-    hidden = [emb if upto_layer in (None, 0) else None]
-    x = T.reshape(emb, (b * s, d))  # the residual stream, one row per position
+    if read is None:
+        live = top = held = None
+        emb = T.add(T.embedding(params["tok_emb"], tokens), T.embedding(params["pos_emb"], pos_ids))
+        x = T.reshape(emb, (b * s, d))  # the residual stream, one row per position
+    else:
+        live, top = _live_rows(pad_mask, read, n_blocks)
+        held = live  # the positions whose rows x holds
+        tok, pos = tokens.reshape(-1)[live], pos_ids.reshape(-1)[live]
+        x = T.add(T.embedding(params["tok_emb"], tok), T.embedding(params["pos_emb"], pos))
 
-    for i in range(cfg.n_layers if upto_layer is None else upto_layer):
+    def layer_out(x):  # [b, s, d]; zeros outside the read positions when pruned
+        if held is None:
+            return T.reshape(x, (b, s, d))
+        return _spread(x if held is top else T.gather_rows(x, np.searchsorted(live, top)), top, (b, s, d))
+
+    hidden = [(emb if read is None else layer_out(x)) if upto_layer in (None, 0) else None]
+    for i in range(n_blocks):
         p = f"blocks.{i}."
         a = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"], LN_EPS)
         q = T.add_bias(T.matmul(a, params[p + "attn.wq"]), params[p + "attn.bq"])
@@ -269,20 +333,28 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
             cache.values[i][:, past : past + s] = v.data.reshape(b, s, d)
             k = Tensor(cache.keys[i][:, : past + s])
             v = Tensor(cache.values[i][:, : past + s])
+        if held is not None:
+            q, k, v = (_spread(t, live, (b * s, d)) for t in (q, k, v))
         ctx = T.attention(q, k, v, attn_bias, h)
+        if held is not None:
+            if i == n_blocks - 1:  # only the read rows continue
+                x, held = T.gather_rows(x, np.searchsorted(live, top)), top
+            ctx = T.gather_rows(ctx, held)
         x = T.add(x, T.add_bias(T.matmul(ctx, params[p + "attn.wo"]), params[p + "attn.bo"]))
 
         m = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"], LN_EPS)
         f = T.gelu(T.add_bias(T.matmul(m, params[p + "mlp.w1"]), params[p + "mlp.b1"]))
         x = T.add(x, T.add_bias(T.matmul(f, params[p + "mlp.w2"]), params[p + "mlp.b2"]))
-        hidden.append(T.reshape(x, (b, s, d)) if upto_layer in (None, i + 1) else None)
+        hidden.append(layer_out(x) if upto_layer in (None, i + 1) else None)
 
     if cache is not None:
         cache.length = past + s
     if upto_layer is not None:
         return ForwardResult(hidden_states=hidden, logits=None)
     fin = T.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-    logits = T.reshape(T.matmul(fin, params["out_proj"]), (b, s, cfg.vocab_size))
+    logits = T.matmul(fin, params["out_proj"])
+    shape = (b, s, cfg.vocab_size)
+    logits = T.reshape(logits, shape) if held is None else _spread(logits, top, shape)
     return ForwardResult(hidden_states=hidden, logits=logits)
 
 
@@ -298,7 +370,8 @@ def sequence_nll(
     logits[t] against tokens[t+1]. Returns (loss, n_scored); an all-false
     mask raises ShapeError (`CifSample.from_json` rejects a record that
     scores nothing). The final layer norm and the output projection run on
-    the marked rows only.
+    the marked rows only, and a graph-free forward computes only the
+    positions they depend on.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     loss_mask = np.asarray(loss_mask, dtype=bool)
@@ -310,7 +383,7 @@ def sequence_nll(
     if not loss_mask.any():
         raise ShapeError("sequence_nll: loss_mask marks no position to score")
 
-    top = forward(params, tokens, pad_mask, upto_layer=params.config.n_layers).hidden_states[-1]
+    top = forward(params, tokens, pad_mask, upto_layer=params.config.n_layers, read=loss_mask).hidden_states[-1]
     rows_b, rows_t = np.nonzero(loss_mask)
     rows = rows_b * s + rows_t
     fin = T.layer_norm(T.gather_rows(top, rows), params["final_ln.gain"], params["final_ln.bias"], LN_EPS)

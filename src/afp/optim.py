@@ -36,6 +36,7 @@ def adamw_step(
     """One in-place update:
     m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;  bias-correct both;
     w <- w - lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * w).
+    A non-finite gradient or second moment raises TrainingError.
     """
     b1, b2 = betas
     state.t += 1
@@ -54,7 +55,10 @@ def adamw_step(
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
-        v += (1.0 - b2) * (g * g)
+        with np.errstate(over="ignore"):
+            v += (1.0 - b2) * (g * g)
+        if not np.all(np.isfinite(v)):
+            raise TrainingError(f"non-finite second moment for parameter {name!r}: its squared gradient overflows")
         m_hat = m / bc1
         v_hat = v / bc2
         step = m_hat / (np.sqrt(v_hat) + EPS)

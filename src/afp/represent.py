@@ -36,6 +36,22 @@ class PooledBatch:
         return self.vectors.data
 
 
+def _last_valid(pad_mask: np.ndarray) -> np.ndarray:
+    """Index of each row's last valid position (the last one when none is)."""
+    return pad_mask.shape[1] - 1 - pad_mask[:, ::-1].argmax(axis=1)
+
+
+def pooled_positions(pad_mask: np.ndarray, method: str) -> np.ndarray:
+    """[batch, seq] mask of the positions pool() reads: the valid ones for
+    mean and max, each row's last valid one for last_token."""
+    pad_mask = np.asarray(pad_mask, dtype=bool)
+    if method != "last_token":
+        return pad_mask
+    read = np.zeros_like(pad_mask)
+    read[np.arange(len(read)), _last_valid(pad_mask)] = True
+    return read & pad_mask
+
+
 def pool(hidden: Tensor, pad_mask: np.ndarray, method: str, layer: int = 0) -> PooledBatch:
     """Reduce [batch, seq, d] hidden states to one vector per row.
 
@@ -72,7 +88,7 @@ def pool(hidden: Tensor, pad_mask: np.ndarray, method: str, layer: int = 0) -> P
 
         vectors = apply_op("pool_max", out, (hidden,), bwd_max)
     elif method == "last_token":
-        last = s - 1 - pad_mask[:, ::-1].argmax(axis=1)
+        last = _last_valid(pad_mask)
         rows = np.arange(b)
         out = hidden.data[rows, last]
 

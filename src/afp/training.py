@@ -12,7 +12,7 @@ from .atomic import atomic_write
 from .checkpoint import save_params
 from .config import RunConfig, TrainConfig
 from .errors import ConfigError, NumericError, TrainingError, UsageError
-from .evaluate import translation_eval
+from .evaluate import check_max_new_tokens, translation_eval
 from .losses import afp_loss, cif_loss, embed, mcl_loss
 # forward and pool are unused here; the benchmark's span tracer patches them by name.
 from .model import ModelConfig, ModelParams, forward, init_params
@@ -264,7 +264,10 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
     """
     if grid is None:
         grid = default_grid(kind, base_config.model)
-    configs = [_with_value(base_config, kind, value) for value in grid]  # every value is checked before any training
+    # every value, and the eval length of each point, is checked before any training
+    configs = [_with_value(base_config, kind, value) for value in grid]
+    for cfg in configs:
+        check_max_new_tokens(cfg.eval.max_new_tokens, cfg.corpus.length_max)
     rows = []
     for value, cfg in zip(grid, configs):
         corpus = generate_corpus(cfg)

@@ -5,6 +5,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,17 @@ class TestTrain:
             )
         assert code == 4
         assert (tmp / "run" / "checkpoint_lastgood.afpt").exists()
+
+    def test_second_moment_overflow_exit_4(self, ws, capsys):
+        # tau 1e-30 scales the similarities to ~1e30: a squared gradient overflows float32
+        tmp, cfg = ws
+        run_cli(["gen-corpus", "--config", cfg])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no overflow warning on the way
+            assert run_cli(["train", "--config", cfg, "--set", "train.tau=1e-30"]) == 4
+        assert "non-finite second moment" in capsys.readouterr().err
+        assert (tmp / "run" / "checkpoint_lastgood.afpt").exists()
+        assert not (tmp / "run" / "checkpoint.afpt").exists()
 
     @pytest.mark.parametrize("side", ["target", "cif"])
     def test_checked_abort_on_either_side_exit_4(self, ws, monkeypatch, side):
@@ -574,6 +586,8 @@ class TestSweepCommand:
             (["--kind", "p_src", "--grid", "0.5,1.5"], "p_src must be in [0, 1]"),
             (["--kind", "pooling", "--grid", "mean,cls"], "unknown pooling 'cls'"),
             (["--kind", "policy", "--grid", "pivot,ring"], "unknown policy 'ring'"),
+            (["--kind", "layer", "--grid", "0,5"], "train.align_layer 5 outside [0, 2]"),
+            (["--kind", "alpha", "--grid", "1.0,2.0", "--set", "eval.max_new_tokens=2"], "eval.max_new_tokens 2"),
         ],
     )
     def test_bad_input_exit_2_before_training(self, ws, monkeypatch, capsys, args, message):

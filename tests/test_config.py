@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -51,6 +52,18 @@ class TestValidation:
             config_from_dict({"corpus": {"policy": "ring"}}, env={})
         with pytest.raises(ConfigError, match="eval.n_examples"):
             config_from_dict({"eval": {"n_examples": 0}}, env={})
+
+    def test_align_layer_beyond_the_model_rejected(self):
+        for layers, layer in ((4, 4), (2, 2), (2, 0)):
+            doc = {"model": {"n_layers": layers}, "train": {"align_layer": layer}}
+            assert config_from_dict(doc, env={}).train.align_layer == layer
+        with pytest.raises(ConfigError, match=r"train.align_layer 5 outside \[0, 4\]"):
+            config_from_dict({"train": {"align_layer": 5}}, env={})
+        with pytest.raises(ConfigError, match=r"train.align_layer 3 outside \[0, 2\]"):
+            config_from_dict({"model": {"n_layers": 2}, "train": {"align_layer": 3}}, env={})
+        cfg = RunConfig()
+        with pytest.raises(ConfigError, match="align_layer"):  # the path the sweep's grid points take
+            dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, align_layer=5))
 
 
 class TestRoundTrip:

@@ -5,7 +5,7 @@ import pytest
 
 from afp import corpus as C
 from afp import losses
-from afp.config import TrainConfig
+from afp.config import RunConfig, TrainConfig
 from afp.errors import UsageError
 from afp.gradcheck import grad_error
 from afp.losses import afp_loss, cif_loss, embed, mcl_loss
@@ -13,6 +13,7 @@ from afp.model import ModelConfig, forward, init_params, sequence_nll
 from afp.represent import POOLING_METHODS, PooledBatch, pool
 from afp.rng import stream
 from afp.tensor import Graph, Tensor, backward
+from afp.training import generate_corpus
 
 
 def pooled(arr):
@@ -215,6 +216,28 @@ class TestAfpLoss:
         mcl = self.mcl(params, pair_batch, cfg).item()
         cif = cif_loss(params, cif_batch)[0].item()
         assert total.item() == pytest.approx(mcl + 1.5 * cif, abs=1e-12)
+
+    def test_desk_tape_op_sequence(self):
+        """The ops a desk training step records; a graph-free forward's pruning
+        must leave the recorded tape as it is."""
+        cfg = RunConfig()
+        corpus = generate_corpus(cfg)
+        params = init_params(cfg.model, seed=cfg.seed)
+        pair_batch, cif_batch = C.collate_pairs(corpus.train_pairs[:32]), C.collate_cif(corpus.train_cif[:32])
+        with Graph() as g:
+            afp_loss(params, pair_batch, cif_batch, cfg.train)
+        block = ["layer_norm", *["matmul", "add_bias"] * 3, "attention", "matmul", "add_bias", "add",
+                 "layer_norm", "matmul", "add_bias", "gelu", "matmul", "add_bias", "add"]
+
+        def forward_ops(n_blocks):
+            return ["embedding", "embedding", "add", "reshape", *block * n_blocks, "reshape"]
+
+        side = [*forward_ops(cfg.train.align_layer), "pool_mean"]
+        mcl = ["l2_normalize_rows", "l2_normalize_rows", "permute", "matmul", "scale", "cross_entropy_rows"]
+        cif = [*forward_ops(cfg.model.n_layers), "gather_rows", "layer_norm", "matmul", "cross_entropy_rows"]
+        want = [*side, *side, *mcl, *cif, "scale", "add"]
+        assert [n.op for n in g.nodes] == want
+        assert len(want) == 137
 
     def test_align_layer_out_of_range(self, tiny):
         family, _, params = tiny

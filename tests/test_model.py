@@ -10,7 +10,9 @@ from afp import tensor as T
 from afp.config import RunConfig
 from afp.errors import ConfigError, NumericError, ShapeError, UsageError
 from afp.gradcheck import grad_error
+from afp.losses import embed
 from afp.model import ForwardResult, KVCache, ModelConfig, forward, init_params, param_shapes, sequence_nll
+from afp.represent import POOLING_METHODS, pool
 from afp.rng import stream
 from afp.tensor import Graph, Tensor
 from afp.training import generate_corpus
@@ -274,6 +276,115 @@ class TestChunkedForward:
         # one chunk's outputs plus its widest activation, an MLP GELU input
         chunk_bytes = chunk * 4 * ((cfg.n_layers + 1) * cfg.d_model + cfg.vocab_size + cfg.d_ff)
         assert peak <= out_bytes + 4 * chunk_bytes
+
+
+# case -> (rows, positions per row, valid positions of each row or None for random)
+READ_CASES = {
+    "right-padded": (12, 10, None),
+    "single-row": (1, 10, [7]),
+    "single-full-row": (1, 10, [10]),
+}
+
+
+def read_batch(cfg, case):
+    b, s, lengths = READ_CASES[case]
+    rng = stream(41, case)
+    tokens = rand_tokens(rng, b, s, cfg.vocab_size)
+    lengths = rng.integers(1, s + 1, size=b) if lengths is None else np.asarray(lengths)
+    return tokens, np.arange(s)[None, :] < lengths[:, None]
+
+
+def same_or_close(got, want, exact):
+    """Bit-equal, or within 1e-6 of the largest magnitude of want."""
+    if exact:
+        return got.dtype == want.dtype and np.array_equal(got, want)
+    return got.dtype == want.dtype and np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+class TestReadPositions:
+    """A graph-free forward given `read` computes only what the read positions
+    depend on; the oracle is a full forward, then gather_rows or pool."""
+
+    @pytest.mark.parametrize("chunk_rows", [None, 3], ids=["unchunked", "chunked"])
+    @pytest.mark.parametrize("case", list(READ_CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", CHUNK_MODELS, ids=["desk", "d32"])
+    def test_pooled_embedding_equals_pool_of_full_forward(self, monkeypatch, cfg, dtype, case, chunk_rows):
+        tokens, pad = read_batch(cfg, case)
+        params = init_params(cfg, seed=9, dtype=dtype)
+        full = unchunked_forward(monkeypatch, params, tokens, pad)
+        monkeypatch.setattr(M, "CHUNK_POSITIONS", 10**9 if chunk_rows is None else chunk_rows * tokens.shape[1])
+        exact = cfg is CHUNK_MODELS[0] and dtype == np.float32
+        for method in POOLING_METHODS:
+            for layer in range(cfg.n_layers + 1):
+                got = embed(params, tokens, pad, layer, method).array
+                want = pool(full.hidden_states[layer], pad, method, layer=layer).array
+                assert same_or_close(got, want, exact), (method, layer)
+
+    @pytest.mark.parametrize("chunk_rows", [None, 3], ids=["unchunked", "chunked"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cfg", CHUNK_MODELS, ids=["desk", "d32"])
+    def test_read_rows_equal_gather_rows_of_full_forward(self, monkeypatch, cfg, dtype, chunk_rows):
+        tokens, pad = read_batch(cfg, "right-padded")
+        rng = stream(42, "read")
+        read = rng.random(tokens.shape) < 0.2
+        read[0] = False  # a row that reads nothing
+        read[1, -1] = True  # a padded position after its row's valid ones
+        assert not pad[1, -1]
+        idx = np.flatnonzero(read)
+        params = init_params(cfg, seed=9, dtype=dtype)
+        monkeypatch.setattr(M, "CHUNK_POSITIONS", 10**9 if chunk_rows is None else chunk_rows * tokens.shape[1])
+        exact = cfg is CHUNK_MODELS[0] and dtype == np.float32
+        for layer in [*range(cfg.n_layers + 1), None]:
+            got = forward(params, tokens, pad, upto_layer=layer, read=read)
+            want = unchunked_forward(monkeypatch, params, tokens, pad, upto_layer=layer)
+            for g, w in filled_outputs(got, want):
+                rows = g.reshape(-1, g.shape[-1])
+                assert same_or_close(rows[idx], T.gather_rows(Tensor(w), idx).data, exact), layer
+                assert not rows[~read.reshape(-1)].any()  # zeros outside the read positions
+
+    @pytest.mark.parametrize("s, valid", [(10, 7), (1, 1)])
+    def test_one_read_position_runs_no_one_row_product(self, monkeypatch, s, valid):
+        cfg = RunConfig().model
+        params = init_params(cfg, seed=9)
+        tokens = rand_tokens(stream(43, "one"), 1, s, cfg.vocab_size)
+        pad = np.arange(s)[None, :] < valid
+        read = np.zeros_like(pad)
+        read[0, valid - 1] = True
+        full = forward(params, tokens, pad)
+        products = []
+        real = T.matmul
+        monkeypatch.setattr(T, "matmul", lambda a, b: products.append(a.shape[0]) or real(a, b))
+        got = forward(params, tokens, pad, read=read)
+        # a gemv (a product of one row) rounds differently, unless the full forward runs one too
+        assert min(products) == min(s, 2)
+        for g, w in filled_outputs(got, full):
+            assert np.array_equal(g[0, valid - 1], w[0, valid - 1])
+
+    def test_recording_forward_computes_every_position(self):
+        params = init_params(CFG, seed=9)
+        tokens = rand_tokens(stream(44, "graph"), 3, 6)
+        read = np.zeros(tokens.shape, dtype=bool)
+        read[:, 0] = True
+        tapes = []
+        for r in (None, read):
+            with Graph() as g:
+                res = forward(params, tokens, read=r)
+            tapes.append(([n.op for n in g.nodes], [t.data.tobytes() for t in res.hidden_states], res.logits.data.tobytes()))
+        assert tapes[0] == tapes[1]
+
+    def test_bad_read_rejected(self):
+        params = init_params(CFG, seed=9)
+        tokens = rand_tokens(stream(45, "bad"), 2, 4)
+        pad = np.array([[True] * 4, [False, True, True, False]])
+        with pytest.raises(ShapeError, match="read"):
+            forward(params, tokens, pad, read=np.ones((2, 3), dtype=bool))
+        before = np.zeros_like(pad)
+        before[1, 0] = True  # no valid position at or before it
+        with pytest.raises(UsageError, match="no valid position"):
+            forward(params, tokens, pad, read=before)
+        with pytest.raises(UsageError, match="KV cache"):
+            forward(params, tokens[:1], read=pad[:1], cache=KVCache(params))
 
 
 class TestKVCache:

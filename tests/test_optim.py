@@ -60,6 +60,14 @@ class TestAdamW:
         with pytest.raises(TrainingError, match="blocks.0.attn.wq"):
             adamw_step(params, grads, state, lr=0.1)
 
+    def test_overflowing_second_moment_names_parameter(self):
+        params, state = fresh()
+        grads = zero_grads(params)
+        grads["blocks.0.mlp.w1"][0, 0] = 1e20  # finite in float32; its square is not
+        assert grads["blocks.0.mlp.w1"].dtype == np.float32
+        with pytest.raises(TrainingError, match="second moment .*blocks.0.mlp.w1"):
+            adamw_step(params, grads, state, lr=0.1)
+
     def test_step_counter_advances(self):
         params, state = fresh()
         adamw_step(params, zero_grads(params), state, lr=0.1)

@@ -155,9 +155,9 @@ class TestTrain:
         assert not T.recording()  # the aborted step's Graph was closed
 
     def test_align_layer_beyond_model_rejected(self, tiny_corpus):
-        cfg = tiny_run_config(align_layer=5)
+        cfg = tiny_run_config()  # a RunConfig rejects the layer itself (test_config)
         with pytest.raises(UsageError):
-            train(cfg.model, cfg.train, tiny_corpus, seed=0)
+            train(cfg.model, dataclasses.replace(cfg.train, align_layer=5), tiny_corpus, seed=0)
 
     def test_trailing_single_pair_batch_is_dropped(self, tiny_corpus):
         # 9 pairs in batches of 4 leave one pair over at the end of each epoch
@@ -226,6 +226,42 @@ class TestTrain:
             tracemalloc.stop()
         # 20.7 MB when every layer and the [b, s, vocab] logits were kept
         assert peak <= 10e6
+
+    def test_desk_heldout_metrics_compute_only_live_and_read_rows(self, monkeypatch):
+        """Rows through GELU and layer norm in a desk held-out call, against the
+        counts the masks give; a change that brings back padded rows fails here."""
+        cfg = RunConfig()
+        corpus = generate_corpus(cfg)
+        params = init_params(cfg.model, seed=cfg.seed)
+        rows = {"gelu": 0, "layer_norm": 0}
+        for op in rows:
+            real = getattr(T, op)
+
+            def spy(x, *args, _op=op, _real=real):
+                rows[_op] += x.shape[0]
+                return _real(x, *args)
+
+            monkeypatch.setattr(T, op, spy)
+        heldout_metrics(params, corpus, cfg.train, step=0)
+
+        def counts(read, valid):  # (live, read): valid positions at or before a row's last read one
+            s = read.shape[1]
+            last = np.where(read.any(axis=1), s - 1 - read[:, ::-1].argmax(axis=1), -1)
+            return int((valid & (np.arange(s) <= last[:, None])).sum()), int(read.sum())
+
+        pairs, cif = C.collate_pairs(corpus.heldout_pairs), C.collate_cif(corpus.heldout_cif)
+        assert cfg.train.pooling == "mean"  # it reads the valid positions
+        # (read, valid, blocks run, final norms): both pair sides, then the CIF batch
+        forwards = [(pad, pad, cfg.train.align_layer, 0) for pad in (pairs.src_pad, pairs.tgt_pad)]
+        forwards.append((cif.loss_mask, cif.pad_mask, cfg.model.n_layers, 1))
+        want = {"gelu": 0, "layer_norm": 0}
+        for read, valid, blocks, final_norms in forwards:
+            live, n_read = counts(read, valid)
+            want["gelu"] += (blocks - 1) * live + n_read
+            want["layer_norm"] += (blocks - 1) * 2 * live + live + n_read + final_norms * n_read
+        assert rows == want
+        live, n_read = counts(cif.loss_mask, cif.pad_mask)
+        assert n_read < live < cif.pad_mask.sum() < cif.pad_mask.size
 
     def test_no_tape_tensor_alive_when_adamw_runs(self, tiny_corpus, monkeypatch):
         tapes, alive = [], []
