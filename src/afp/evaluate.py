@@ -202,7 +202,8 @@ def classification_eval(
     """Accuracy over n fresh queries with template.k demonstrations drawn
     from a disjoint stream. `scorer(prompt, candidates) -> (index, loglikes)`
     defaults to model scoring. n < 1, or a prompt that cannot fit
-    max_seq_len with its longest candidate, raises UsageError."""
+    max_seq_len with its longest candidate, raises UsageError; every prompt
+    is built and checked before the first is scored."""
     if n < 1:
         raise UsageError(f"classification needs at least one query, got n={n}")
     if scorer is None:
@@ -213,9 +214,8 @@ def classification_eval(
     candidates = template.candidates
     longest = max(len(c) for c in candidates)
     limit = params.config.max_seq_len
-    hits = 0
-    records = []
-    for i in range(n):
+    queries = []
+    for _ in range(n):
         demos = [task_spec.make_example(demo_rng) for _ in range(template.k)]
         query, label = task_spec.make_example(query_rng)
         prompt = [C.BOS] + build_prompt(template, demos, query)
@@ -224,6 +224,10 @@ def classification_eval(
                 f"a {len(prompt)}-token prompt plus a {longest}-token candidate exceeds max_seq_len {limit}; "
                 f"lower eval.k_shot ({template.k})"
             )
+        queries.append((prompt, label))
+    hits = 0
+    records = []
+    for i, (prompt, label) in enumerate(queries):
         chosen, scores = scorer(prompt, candidates)
         ok = labels[chosen] == label
         hits += ok
@@ -260,7 +264,8 @@ def translation_eval(
     Scores: exact-match rate (primary) and corpus BLEU. Raises UsageError
     for n < 1, for max_new_tokens below the longest sentence (a reference
     is as long as its source), or for a prompt that leaves fewer positions
-    than its reference needs.
+    than its reference needs; every prompt is built and checked before the
+    first is decoded.
     """
     if n < 1:
         raise UsageError(f"translation needs at least one example, got n={n}")
@@ -268,9 +273,8 @@ def translation_eval(
     if generate_fn is None:
         generate_fn = lambda prompt: greedy_decode(params, prompt, max_new_tokens, stop_token=C.SEP)
     rng = stream(seed, "translation")
-    hyps, refs, records = [], [], []
-    exact = 0
-    for i in range(n):
+    examples = []
+    for _ in range(n):
         demo_part: list[int] = []
         for _ in range(k_shot):
             d_prompt, d_ref = C.instruction(family, task, C.sample_sentence(family, src_lang, rng), src_lang, tgt_lang)
@@ -283,6 +287,10 @@ def translation_eval(
                 f"a {len(prompt)}-token prompt leaves no room for its {len(ref)}-token reference within "
                 f"max_seq_len {params.config.max_seq_len}; lower eval.k_shot ({k_shot})"
             )
+        examples.append((src, ref, prompt))
+    hyps, refs, records = [], [], []
+    exact = 0
+    for i, (src, ref, prompt) in enumerate(examples):
         hyp = list(generate_fn(prompt))
         hyps.append(hyp)
         refs.append(ref)

@@ -142,8 +142,8 @@ class ForwardResult:
     """Outputs of forward(). A full forward fills every layer of
     hidden_states (index 0 = embeddings). With upto_layer=L there are still
     L + 1 entries, but only index L is filled and the lower ones are None,
-    so a forward keeps only the layer its caller reads. A graph-free forward
-    given `read` holds zeros outside the read positions."""
+    so a forward keeps only the layer its caller reads. A forward given
+    `read` holds zeros outside the read positions."""
 
     hidden_states: list  # [batch, seq, d_model] Tensor, or None below upto_layer
     logits: Tensor | None  # [batch, seq, vocab]; None when stopped early
@@ -190,11 +190,11 @@ def forward(
     chunks of whole rows.
 
     read, a [batch, seq] mask, names the positions the caller reads; each
-    needs a valid position at or before it in its row. With no open Graph,
-    the forward then computes only what they depend on (see _live_rows), and
-    every output holds zeros elsewhere. A recording forward ignores it and
-    computes every position: a weight gradient summed over fewer rows would
-    change its bits.
+    needs a valid position at or before it in its row. The forward then
+    computes only what they depend on (see _live_rows), and every output
+    holds zeros elsewhere. Under a Graph too: each product's gradients still
+    run over every row, zero outside the rows held (see _rows_matmul), so
+    the tape's gradients keep the bits of a forward over every position.
     """
     cfg = params.config
     if upto_layer is not None and not 0 <= upto_layer <= cfg.n_layers:
@@ -226,9 +226,7 @@ def forward(
             raise UsageError("forward: a KV cache is for inference; close the Graph first")
         if upto_layer is not None or read is not None or b != 1 or not pad_mask.all():
             raise UsageError("forward: a KV cache needs every block, every position and one unpadded row")
-    elif T.recording():
-        read = None
-    elif b * s > CHUNK_POSITIONS:
+    elif b * s > CHUNK_POSITIONS and not T.recording():
         return _chunked_forward(params, tokens, pad_mask, upto_layer, read)
     return _forward(params, tokens, pad_mask, upto_layer, cache, read)
 
@@ -264,27 +262,51 @@ def _live_rows(pad_mask: np.ndarray, read: np.ndarray, n_blocks: int) -> tuple[n
 
     top holds the read positions. live adds every valid position at or
     before its row's last read one: the keys that the read positions reach
-    through n_blocks causal blocks (with no block, live is top). A set of one
-    position in a batch of more is that position twice, since a one-row
-    product (a gemv) rounds differently from the same row in a larger one.
+    through n_blocks causal blocks; it is top itself when that adds none.
+    Graph-free, a set of one position in a batch of more is that position
+    twice, since a one-row product (a gemv) rounds differently from the same
+    row in a larger one. A recorded forward keeps it once, so that no copy
+    takes a gradient.
     """
 
     def rows(mask):
         idx = np.flatnonzero(mask)
-        return np.repeat(idx, 2) if idx.size == 1 and mask.size > 1 else idx
+        return np.repeat(idx, 2) if idx.size == 1 and mask.size > 1 and not T.recording() else idx
 
     top = rows(read)
-    if n_blocks == 0:
-        return top, top
     ahead = np.logical_or.accumulate(read[:, ::-1], axis=1)[:, ::-1]  # a read position here or later
-    return rows(ahead & (pad_mask | read)), top
+    live = rows(ahead & (pad_mask | read)) if n_blocks else top
+    return (top, top) if np.array_equal(live, top) else (live, top)
 
 
 def _spread(x: Tensor, rows: np.ndarray, shape: tuple) -> Tensor:
-    """x's rows at flat positions `rows` of a zero array of the given shape."""
+    """x's rows at flat positions `rows` of a zero array of the given shape;
+    its backward gathers those rows."""
     out = np.zeros(shape, x.dtype)
     out.reshape(-1, shape[-1])[rows] = x.data
-    return Tensor(out)
+    return T.apply_op("spread", out, (x,), lambda g: (g.reshape(-1, shape[-1])[rows],))
+
+
+def _rows_matmul(a: Tensor, w: Tensor, rows: np.ndarray | None, n_rows: int) -> Tensor:
+    """a @ w, where a holds the given rows of an n_rows-row batch (every row for None).
+
+    Recorded, both gradients are products over all n_rows rows, zero outside
+    `rows`, as a product over every row forms them, so they keep its bits.
+    Over the given rows alone, OpenBLAS sums w's gradient in another order,
+    and a's too at 18 rows or fewer (float32, desk shapes). Graph-free, it is
+    a plain product.
+    """
+    if rows is None or not T.recording():
+        return T.matmul(a, w)
+    ad, wd = a.data, w.data
+
+    def bwd(g):
+        a_all = np.zeros((n_rows, ad.shape[1]), ad.dtype)
+        g_all = np.zeros((n_rows, g.shape[1]), g.dtype)
+        a_all[rows], g_all[rows] = ad, g
+        return (g_all @ wd.T)[rows], a_all.T @ g_all
+
+    return T.apply_op("matmul", ad @ wd, (a, w), bwd)
 
 
 def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, cache, read) -> ForwardResult:
@@ -321,13 +343,14 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
             return T.reshape(x, (b, s, d))
         return _spread(x if held is top else T.gather_rows(x, np.searchsorted(live, top)), top, (b, s, d))
 
+    def linear(x, w, bias):  # x @ w + bias over the rows x holds
+        return T.add_bias(_rows_matmul(x, params[p + w], held, b * s), params[p + bias])
+
     hidden = [(emb if read is None else layer_out(x)) if upto_layer in (None, 0) else None]
     for i in range(n_blocks):
         p = f"blocks.{i}."
         a = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"], LN_EPS)
-        q = T.add_bias(T.matmul(a, params[p + "attn.wq"]), params[p + "attn.bq"])
-        k = T.add_bias(T.matmul(a, params[p + "attn.wk"]), params[p + "attn.bk"])
-        v = T.add_bias(T.matmul(a, params[p + "attn.wv"]), params[p + "attn.bv"])
+        q, k, v = linear(a, "attn.wq", "attn.bq"), linear(a, "attn.wk", "attn.bk"), linear(a, "attn.wv", "attn.bv")
         if cache is not None:
             cache.keys[i][:, past : past + s] = k.data.reshape(b, s, d)
             cache.values[i][:, past : past + s] = v.data.reshape(b, s, d)
@@ -338,13 +361,12 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         ctx = T.attention(q, k, v, attn_bias, h)
         if held is not None:
             if i == n_blocks - 1:  # only the read rows continue
-                x, held = T.gather_rows(x, np.searchsorted(live, top)), top
+                x, held = x if live is top else T.gather_rows(x, np.searchsorted(live, top)), top
             ctx = T.gather_rows(ctx, held)
-        x = T.add(x, T.add_bias(T.matmul(ctx, params[p + "attn.wo"]), params[p + "attn.bo"]))
+        x = T.add(x, linear(ctx, "attn.wo", "attn.bo"))
 
         m = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"], LN_EPS)
-        f = T.gelu(T.add_bias(T.matmul(m, params[p + "mlp.w1"]), params[p + "mlp.b1"]))
-        x = T.add(x, T.add_bias(T.matmul(f, params[p + "mlp.w2"]), params[p + "mlp.b2"]))
+        x = T.add(x, linear(T.gelu(linear(m, "mlp.w1", "mlp.b1")), "mlp.w2", "mlp.b2"))
         hidden.append(layer_out(x) if upto_layer in (None, i + 1) else None)
 
     if cache is not None:
@@ -370,8 +392,8 @@ def sequence_nll(
     logits[t] against tokens[t+1]. Returns (loss, n_scored); an all-false
     mask raises ShapeError (`CifSample.from_json` rejects a record that
     scores nothing). The final layer norm and the output projection run on
-    the marked rows only, and a graph-free forward computes only the
-    positions they depend on.
+    the marked rows only, and the forward computes only the positions they
+    depend on.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     loss_mask = np.asarray(loss_mask, dtype=bool)
@@ -387,24 +409,6 @@ def sequence_nll(
     rows_b, rows_t = np.nonzero(loss_mask)
     rows = rows_b * s + rows_t
     fin = T.layer_norm(T.gather_rows(top, rows), params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-    logits = _scored_head(fin, params["out_proj"], rows, b * s)
+    logits = _rows_matmul(fin, params["out_proj"], rows, b * s)
     return T.cross_entropy_rows(logits, tokens[rows_b, rows_t + 1]), len(rows)
 
-
-def _scored_head(fin: Tensor, out_proj: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
-    """fin @ out_proj, where fin holds the given rows of an n_rows-row batch.
-
-    Both gradients are products over all n_rows rows, zero outside `rows`,
-    as a head over every row forms them, so they keep its bits. Over the
-    given rows alone, OpenBLAS sums out_proj's gradient in another order,
-    and fin's too at 18 rows or fewer (float32, desk shapes).
-    """
-    a, w = fin.data, out_proj.data
-
-    def bwd(g):
-        a_all = np.zeros((n_rows, a.shape[1]), a.dtype)
-        g_all = np.zeros((n_rows, g.shape[1]), g.dtype)
-        a_all[rows], g_all[rows] = a, g
-        return (g_all @ w.T)[rows], a_all.T @ g_all
-
-    return T.apply_op("matmul", a @ w, (fin, out_proj), bwd)

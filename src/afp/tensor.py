@@ -296,7 +296,11 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd(g):
         gx = np.zeros(shape, dtype)
-        np.add.at(gx.reshape(-1, shape[-1]), idx, g)
+        gx_rows, flat = gx.reshape(-1, shape[-1]), idx.reshape(-1)
+        if (flat[1:] > flat[:-1]).all():  # increasing, so distinct: np.add.at's sums, about 10x faster
+            gx_rows[idx] += g
+        else:
+            np.add.at(gx_rows, idx, g)
         return (gx,)
 
     return apply_op("gather_rows", rows[idx], (x,), bwd)

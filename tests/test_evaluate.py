@@ -265,6 +265,22 @@ class TestClassificationEval:
         for rec in result.records:
             assert rec["chosen"] == int(np.argmax(rec["loglik"]))
 
+    def test_unfittable_later_prompt_rejected_before_any_score(self):
+        task = self.task()
+        template = E.Template(k=1, verbalizer=task.verbalizer())
+        prompts = []
+
+        def run(params, scorer):
+            return E.classification_eval(params, task, template, n=12, seed=12, scorer=scorer)
+
+        run(init_params(MCFG, seed=0), lambda p, c: prompts.append(p) or (0, [0.0, 0.0]))
+        limit = len(prompts[0]) + 1  # the first prompt fits with its one-token candidates
+        assert max(len(p) for p in prompts) + 1 > limit
+        scored = []
+        with pytest.raises(UsageError, match=r"eval\.k_shot \(1\)"):
+            run(init_params(dataclasses.replace(MCFG, max_seq_len=limit), seed=0), lambda p, c: scored.append(p) or (0, [0.0, 0.0]))
+        assert scored == []
+
     def test_deterministic(self):
         params = init_params(MCFG, seed=10)
         template = E.Template(k=0, verbalizer=self.task().verbalizer())
@@ -349,6 +365,19 @@ class TestTranslationEval:
         assert max(len(p) + len(r) for p, r in zip(prompts, refs)) > limit
         with pytest.raises(UsageError, match=r"eval\.k_shot \(1\)"):
             run(init_params(dataclasses.replace(MCFG, max_seq_len=limit), seed=0), lambda p: [])
+
+    def test_unfittable_later_prompt_rejected_before_any_decode(self):
+        prompts, decoded = [], []
+
+        def run(params, generate_fn):
+            return E.translation_eval(params, FAMILY, "A", "B", n=12, max_new_tokens=8, k_shot=1, seed=8, generate_fn=generate_fn)
+
+        refs = [r["ref"] for r in run(init_params(MCFG, seed=0), lambda p: prompts.append(p) or []).records]
+        limit = len(prompts[0]) + len(refs[0])  # the first prompt holds its reference
+        assert max(len(p) + len(r) for p, r in zip(prompts, refs)) > limit
+        with pytest.raises(UsageError, match=r"eval\.k_shot \(1\)"):
+            run(init_params(dataclasses.replace(MCFG, max_seq_len=limit), seed=0), lambda p: decoded.append(p) or [])
+        assert decoded == []
 
 
 def full_prefix_decode(params, prompt, max_new_tokens, stop_token=C.SEP):

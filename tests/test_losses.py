@@ -218,26 +218,32 @@ class TestAfpLoss:
         assert total.item() == pytest.approx(mcl + 1.5 * cif, abs=1e-12)
 
     def test_desk_tape_op_sequence(self):
-        """The ops a desk training step records; a graph-free forward's pruning
-        must leave the recorded tape as it is."""
+        """The ops a desk training step records. Each forward holds only the
+        rows its loss reads, so the queries, keys and values are spread into
+        attention's layout and its output is gathered back; in the last block
+        only the read rows go on (mean pooling reads every live row)."""
         cfg = RunConfig()
         corpus = generate_corpus(cfg)
         params = init_params(cfg.model, seed=cfg.seed)
         pair_batch, cif_batch = C.collate_pairs(corpus.train_pairs[:32]), C.collate_cif(corpus.train_cif[:32])
         with Graph() as g:
             afp_loss(params, pair_batch, cif_batch, cfg.train)
-        block = ["layer_norm", *["matmul", "add_bias"] * 3, "attention", "matmul", "add_bias", "add",
-                 "layer_norm", "matmul", "add_bias", "gelu", "matmul", "add_bias", "add"]
 
-        def forward_ops(n_blocks):
-            return ["embedding", "embedding", "add", "reshape", *block * n_blocks, "reshape"]
+        def block(gather_x):
+            return ["layer_norm", *["matmul", "add_bias"] * 3, *["spread"] * 3, "attention",
+                    *["gather_rows"] * (1 + gather_x), "matmul", "add_bias", "add",
+                    "layer_norm", "matmul", "add_bias", "gelu", "matmul", "add_bias", "add"]
 
-        side = [*forward_ops(cfg.train.align_layer), "pool_mean"]
+        def forward_ops(n_blocks, gather_x):
+            return ["embedding", "embedding", "add", *block(False) * (n_blocks - 1), *block(gather_x), "spread"]
+
+        assert cfg.train.pooling == "mean"
+        side = [*forward_ops(cfg.train.align_layer, False), "pool_mean"]
         mcl = ["l2_normalize_rows", "l2_normalize_rows", "permute", "matmul", "scale", "cross_entropy_rows"]
-        cif = [*forward_ops(cfg.model.n_layers), "gather_rows", "layer_norm", "matmul", "cross_entropy_rows"]
+        cif = [*forward_ops(cfg.model.n_layers, True), "gather_rows", "layer_norm", "matmul", "cross_entropy_rows"]
         want = [*side, *side, *mcl, *cif, "scale", "add"]
         assert [n.op for n in g.nodes] == want
-        assert len(want) == 137
+        assert len(want) == 159
 
     def test_align_layer_out_of_range(self, tiny):
         family, _, params = tiny

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 
 from afp import corpus as C
+from afp import losses
 from afp import model as M
 from afp import tensor as T
 from afp.config import RunConfig
 from afp.errors import ConfigError, NumericError, ShapeError, UsageError
 from afp.gradcheck import grad_error
-from afp.losses import embed
+from afp.losses import afp_loss, embed
 from afp.model import ForwardResult, KVCache, ModelConfig, forward, init_params, param_shapes, sequence_nll
 from afp.represent import POOLING_METHODS, pool
 from afp.rng import stream
@@ -361,17 +363,81 @@ class TestReadPositions:
         for g, w in filled_outputs(got, full):
             assert np.array_equal(g[0, valid - 1], w[0, valid - 1])
 
-    def test_recording_forward_computes_every_position(self):
-        params = init_params(CFG, seed=9)
-        tokens = rand_tokens(stream(44, "graph"), 3, 6)
-        read = np.zeros(tokens.shape, dtype=bool)
-        read[:, 0] = True
-        tapes = []
-        for r in (None, read):
+    # the desk training config, and the MCL-only one of the benchmark's train_mcl_deep workload
+    TRAIN_CONFIGS = {
+        "desk": {},
+        "mcl_deep": {"alpha": 0.0, "align_layer": 4, "pooling": "last_token", "symmetric_mcl": True, "mcl_batch": 64},
+    }
+
+    @pytest.mark.parametrize("pooling", POOLING_METHODS)
+    @pytest.mark.parametrize("config", list(TRAIN_CONFIGS))
+    def test_recorded_afp_loss_byte_equal_to_full_forwards(self, monkeypatch, desk_corpus, config, pooling):
+        """The loss and every leaf gradient of a training step, against the same
+        step with every forward computing every position."""
+        run = RunConfig()
+        tcfg = dataclasses.replace(run.train, **{**self.TRAIN_CONFIGS[config], "pooling": pooling})
+        params = init_params(run.model, seed=3)
+
+        def step(pairs, cif):
+            for _, t in params.named():
+                t.grad = None
             with Graph() as g:
-                res = forward(params, tokens, read=r)
-            tapes.append(([n.op for n in g.nodes], [t.data.tobytes() for t in res.hidden_states], res.logits.data.tobytes()))
-        assert tapes[0] == tapes[1]
+                loss = afp_loss(params, pairs, cif, tcfg)
+            T.backward(g, loss)
+            return loss.data.tobytes(), {name: None if t.grad is None else t.grad.tobytes() for name, t in params.named()}
+
+        real = M.forward
+
+        def full_forward(*args, read=None, **kwargs):
+            return real(*args, **kwargs)
+
+        for k in range(4):
+            pairs = C.collate_pairs(desk_corpus.train_pairs[k * tcfg.mcl_batch : (k + 1) * tcfg.mcl_batch])
+            cif = C.collate_cif(desk_corpus.train_cif[k * tcfg.cif_batch : (k + 1) * tcfg.cif_batch])
+            assert not pairs.src_pad.all() and not cif.pad_mask.all()  # padding to skip
+            got = step(pairs, cif)
+            with monkeypatch.context() as m:
+                m.setattr(M, "forward", full_forward)
+                m.setattr(losses, "forward", full_forward)
+                want = step(pairs, cif)
+            assert got[0] == want[0]
+            assert got[1] == want[1]
+            assert (got[1]["out_proj"] is None) == (tcfg.alpha == 0)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_one_read_position_recorded_gradients_equal_a_full_forward(self, dtype, tol):
+        """A graph-free forward runs a lone read position twice; a recorded one
+        must not count the copy's gradient (2x on tok_emb at layer 0 if it did).
+        One-row products round differently, hence the tolerance, taken against
+        the largest gradient: the key bias's is zero up to rounding (softmax
+        ignores a shift shared by every key)."""
+        cfg = RunConfig().model
+        params = init_params(cfg, seed=9, dtype=dtype)
+        s, valid = 10, 7
+        tokens = rand_tokens(stream(46, "one-recorded"), 1, s, cfg.vocab_size)
+        pad = np.arange(s)[None, :] < valid
+        read = np.zeros_like(pad)
+        read[0, valid - 1] = True
+        rng = stream(47, "one-recorded-weights")
+        for layer in [*range(cfg.n_layers + 1), None]:
+            out = cfg.vocab_size if layer is None else cfg.d_model
+            weights = Tensor(rng.normal(size=(1, out)).astype(dtype))
+            grads = []
+            for r in (read, None):
+                for _, t in params.named():
+                    t.grad = None
+                with Graph() as g:
+                    res = forward(params, tokens, pad, upto_layer=layer, read=r)
+                    picked = T.gather_rows(res.logits if layer is None else res.hidden_states[layer], [valid - 1])
+                    loss = T.sum_all(T.mul(picked, weights))
+                T.backward(g, loss)
+                grads.append({name: t.grad for name, t in params.named()})
+            got, want = grads
+            assert [name for name in got if got[name] is None] == [name for name in want if want[name] is None]
+            scale = max(np.abs(g).max() for g in want.values() if g is not None)
+            for name, g in want.items():
+                if g is not None:
+                    assert got[name].dtype == dtype and np.abs(got[name] - g).max() <= tol * scale, (layer, name)
 
     def test_bad_read_rejected(self):
         params = init_params(CFG, seed=9)

@@ -350,6 +350,10 @@ OPS = {
         lambda x: T.sum_all(T.mul(T.gather_rows(x, np.array([0, 2, 2])), t64(np.arange(9.0).reshape(3, 3)))),
         [rng.standard_normal((4, 3))],
     ),
+    "gather_rows_distinct": lambda rng: (
+        lambda x: T.sum_all(T.mul(T.gather_rows(x, np.array([0, 2, 3])), t64(np.arange(9.0).reshape(3, 3)))),
+        [rng.standard_normal((4, 3))],
+    ),
     "gather_rows_3d": lambda rng: (
         lambda x: T.sum_all(T.mul(T.gather_rows(x, np.array([0, 5, 5, 3])), t64(np.arange(16.0).reshape(4, 4)))),
         [rng.standard_normal((2, 3, 4))],
@@ -379,6 +383,24 @@ def test_op_gradients_match_finite_differences(name):
         leaves = [t64(a, requires_grad=True) for a in arrays]
         err = grad_error(lambda: fn(*leaves), leaves, stream(seed, "coords", name), coords_per_tensor=3)
         assert err <= 1e-4, f"{name} seed {seed}: rel err {err}"
+
+
+class TestGatherRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("idx", [[1, 4, 5, 9], [9, 1, 5], [0, 3, 3, 7], [6], [[2, 4], [5, 8]]],
+                             ids=["increasing", "unordered", "repeated", "one", "2d"])
+    def test_gradient_bytes_equal_add_at_into_zeros(self, dtype, idx):
+        idx = np.asarray(idx)
+        rng = stream(5, "gather-bwd")
+        x = Tensor(rng.normal(size=(2, 5, 3)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(*idx.shape, 3)).astype(dtype)
+        g.reshape(-1)[0] = -0.0  # np.add.at gives 0 + -0 = +0
+        with Graph() as graph:
+            out = T.gather_rows(x, idx)
+        want = np.zeros((10, 3), dtype)
+        np.add.at(want, idx, g)
+        assert graph.nodes[0].backward(g)[0].tobytes() == want.reshape(x.shape).tobytes()
+        assert out.data.tobytes() == x.data.reshape(10, 3)[idx].tobytes()
 
 
 class TestCheckedMode:

@@ -95,6 +95,41 @@ def params_equal(a, b):
     return all(np.array_equal(ta.data, tb.data) for (_, ta), (_, tb) in zip(a.named(), b.named()))
 
 
+def spy_rows(monkeypatch) -> dict:
+    """Counts the rows each call of T.gelu and T.layer_norm runs on."""
+    rows = {"gelu": 0, "layer_norm": 0}
+    for op in rows:
+        real = getattr(T, op)
+
+        def spy(x, *args, _op=op, _real=real):
+            rows[_op] += x.shape[0]
+            return _real(x, *args)
+
+        monkeypatch.setattr(T, op, spy)
+    return rows
+
+
+def live_and_read(read, valid) -> tuple[int, int]:
+    """(live, read) position counts: live ones are valid and at or before their row's last read one."""
+    s = read.shape[1]
+    last = np.where(read.any(axis=1), s - 1 - read[:, ::-1].argmax(axis=1), -1)
+    return int((valid & (np.arange(s) <= last[:, None])).sum()), int(read.sum())
+
+
+def pruned_rows(cfg, pairs, cif) -> dict:
+    """GELU and layer-norm rows of both pair sides (mean pooling) and the CIF batch."""
+    assert cfg.train.pooling == "mean"  # it reads the valid positions
+    # (read, valid, blocks run, final norms): both pair sides, then the CIF batch
+    forwards = [(pad, pad, cfg.train.align_layer, 0) for pad in (pairs.src_pad, pairs.tgt_pad)]
+    forwards.append((cif.loss_mask, cif.pad_mask, cfg.model.n_layers, 1))
+    want = {"gelu": 0, "layer_norm": 0}
+    for read, valid, blocks, final_norms in forwards:
+        live, n_read = live_and_read(read, valid)
+        want["gelu"] += (blocks - 1) * live + n_read
+        want["layer_norm"] += (blocks - 1) * 2 * live + live + n_read + final_norms * n_read
+    return want
+
+
 class TestTrain:
     def test_zero_steps_returns_init(self, tiny_corpus):
         cfg = tiny_run_config(steps=0)
@@ -233,35 +268,27 @@ class TestTrain:
         cfg = RunConfig()
         corpus = generate_corpus(cfg)
         params = init_params(cfg.model, seed=cfg.seed)
-        rows = {"gelu": 0, "layer_norm": 0}
-        for op in rows:
-            real = getattr(T, op)
-
-            def spy(x, *args, _op=op, _real=real):
-                rows[_op] += x.shape[0]
-                return _real(x, *args)
-
-            monkeypatch.setattr(T, op, spy)
+        rows = spy_rows(monkeypatch)
         heldout_metrics(params, corpus, cfg.train, step=0)
-
-        def counts(read, valid):  # (live, read): valid positions at or before a row's last read one
-            s = read.shape[1]
-            last = np.where(read.any(axis=1), s - 1 - read[:, ::-1].argmax(axis=1), -1)
-            return int((valid & (np.arange(s) <= last[:, None])).sum()), int(read.sum())
-
         pairs, cif = C.collate_pairs(corpus.heldout_pairs), C.collate_cif(corpus.heldout_cif)
-        assert cfg.train.pooling == "mean"  # it reads the valid positions
-        # (read, valid, blocks run, final norms): both pair sides, then the CIF batch
-        forwards = [(pad, pad, cfg.train.align_layer, 0) for pad in (pairs.src_pad, pairs.tgt_pad)]
-        forwards.append((cif.loss_mask, cif.pad_mask, cfg.model.n_layers, 1))
-        want = {"gelu": 0, "layer_norm": 0}
-        for read, valid, blocks, final_norms in forwards:
-            live, n_read = counts(read, valid)
-            want["gelu"] += (blocks - 1) * live + n_read
-            want["layer_norm"] += (blocks - 1) * 2 * live + live + n_read + final_norms * n_read
-        assert rows == want
-        live, n_read = counts(cif.loss_mask, cif.pad_mask)
+        assert rows == pruned_rows(cfg, pairs, cif)
+        live, n_read = live_and_read(cif.loss_mask, cif.pad_mask)
         assert n_read < live < cif.pad_mask.sum() < cif.pad_mask.size
+
+    def test_desk_training_step_computes_only_live_and_read_rows(self, monkeypatch):
+        """The same counts for a recorded desk step, forward and backward: its
+        forwards hold only the rows its losses read, as graph-free ones do."""
+        cfg = RunConfig()
+        corpus = generate_corpus(cfg)
+        params = init_params(cfg.model, seed=cfg.seed)
+        pairs = C.collate_pairs(corpus.train_pairs[: cfg.train.mcl_batch])
+        cif = C.collate_cif(corpus.train_cif[: cfg.train.cif_batch])
+        rows = spy_rows(monkeypatch)
+        with Graph() as g:
+            loss = losses.afp_loss(params, pairs, cif, cfg.train)
+        backward(g, loss)
+        assert rows == pruned_rows(cfg, pairs, cif)
+        assert not pairs.src_pad.all() and not cif.pad_mask.all()
 
     def test_no_tape_tensor_alive_when_adamw_runs(self, tiny_corpus, monkeypatch):
         tapes, alive = [], []
