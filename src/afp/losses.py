@@ -51,7 +51,7 @@ def cif_loss(params: ModelParams, batch: TokenBatch) -> tuple[Tensor, int]:
 
 def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, pooling: str) -> PooledBatch:
     """Pooled hidden_states[layer] of a forward that stops after block `layer`;
-    graph-free, it computes only the positions the pooling reads."""
+    graph-free or under a Graph, it computes only the positions the pooling reads."""
     res = forward(params, tokens, pad, upto_layer=layer, read=pooled_positions(pad, pooling))
     return pool(res.hidden_states[layer], pad, pooling, layer=layer)
 

@@ -192,9 +192,7 @@ def forward(
     read, a [batch, seq] mask, names the positions the caller reads; each
     needs a valid position at or before it in its row. The forward then
     computes only what they depend on (see _live_rows), and every output
-    holds zeros elsewhere. Under a Graph too: each product's gradients still
-    run over every row, zero outside the rows held (see _rows_matmul), so
-    the tape's gradients keep the bits of a forward over every position.
+    holds zeros elsewhere. This holds under a Graph too.
     """
     cfg = params.config
     if upto_layer is not None and not 0 <= upto_layer <= cfg.n_layers:
@@ -287,28 +285,6 @@ def _spread(x: Tensor, rows: np.ndarray, shape: tuple) -> Tensor:
     return T.apply_op("spread", out, (x,), lambda g: (g.reshape(-1, shape[-1])[rows],))
 
 
-def _rows_matmul(a: Tensor, w: Tensor, rows: np.ndarray | None, n_rows: int) -> Tensor:
-    """a @ w, where a holds the given rows of an n_rows-row batch (every row for None).
-
-    Recorded, both gradients are products over all n_rows rows, zero outside
-    `rows`, as a product over every row forms them, so they keep its bits.
-    Over the given rows alone, OpenBLAS sums w's gradient in another order,
-    and a's too at 18 rows or fewer (float32, desk shapes). Graph-free, it is
-    a plain product.
-    """
-    if rows is None or not T.recording():
-        return T.matmul(a, w)
-    ad, wd = a.data, w.data
-
-    def bwd(g):
-        a_all = np.zeros((n_rows, ad.shape[1]), ad.dtype)
-        g_all = np.zeros((n_rows, g.shape[1]), g.dtype)
-        a_all[rows], g_all[rows] = ad, g
-        return (g_all @ wd.T)[rows], a_all.T @ g_all
-
-    return T.apply_op("matmul", ad @ wd, (a, w), bwd)
-
-
 def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, cache, read) -> ForwardResult:
     """The blocks of forward() over arguments it has checked, in one piece.
 
@@ -344,7 +320,7 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         return _spread(x if held is top else T.gather_rows(x, np.searchsorted(live, top)), top, (b, s, d))
 
     def linear(x, w, bias):  # x @ w + bias over the rows x holds
-        return T.add_bias(_rows_matmul(x, params[p + w], held, b * s), params[p + bias])
+        return T.add_bias(T.matmul(x, params[p + w]), params[p + bias])
 
     hidden = [(emb if read is None else layer_out(x)) if upto_layer in (None, 0) else None]
     for i in range(n_blocks):
@@ -399,16 +375,14 @@ def sequence_nll(
     loss_mask = np.asarray(loss_mask, dtype=bool)
     if loss_mask.shape != tokens.shape:
         raise ShapeError(f"sequence_nll: loss_mask {loss_mask.shape} vs tokens {tokens.shape}")
-    b, s = tokens.shape
     if loss_mask[:, -1].any():
         raise UsageError("sequence_nll: last position has no next token to score")
     if not loss_mask.any():
         raise ShapeError("sequence_nll: loss_mask marks no position to score")
 
     top = forward(params, tokens, pad_mask, upto_layer=params.config.n_layers, read=loss_mask).hidden_states[-1]
-    rows_b, rows_t = np.nonzero(loss_mask)
-    rows = rows_b * s + rows_t
+    rows = np.flatnonzero(loss_mask)  # no row's last position, so rows + 1 is the next token
     fin = T.layer_norm(T.gather_rows(top, rows), params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-    logits = _rows_matmul(fin, params["out_proj"], rows, b * s)
-    return T.cross_entropy_rows(logits, tokens[rows_b, rows_t + 1]), len(rows)
+    logits = T.matmul(fin, params["out_proj"])
+    return T.cross_entropy_rows(logits, tokens.reshape(-1)[rows + 1]), len(rows)
 

@@ -101,6 +101,12 @@ def check_fits(record, model: ModelConfig):
     return record
 
 
+def check_corpus_fits(corpus: CorpusHandles, model: ModelConfig) -> None:
+    """check_fits on every record of a generated corpus."""
+    for record in corpus.train_pairs + corpus.train_cif + corpus.heldout_pairs + corpus.heldout_cif:
+        check_fits(record, model)
+
+
 def _epoch_batches(dataset, batch_size, seed, epoch):
     # a trailing batch of one pair is dropped: MCL needs in-batch negatives
     for batch in C.batch_iter(dataset, batch_size, seed=int(seed + epoch)):
@@ -264,15 +270,17 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
     """
     if grid is None:
         grid = default_grid(kind, base_config.model)
-    # every value, and the eval length of each point, is checked before any training
+    # every value, and the eval length and languages of each point, are checked before any training
     configs = [_with_value(base_config, kind, value) for value in grid]
     for cfg in configs:
         check_max_new_tokens(cfg.eval.max_new_tokens, cfg.corpus.length_max)
+        for lang in (cfg.eval.eval_src_lang, cfg.eval.eval_tgt_lang):
+            if lang not in cfg.corpus.languages:
+                raise UsageError(f"unknown language {lang!r}: corpus.languages are {cfg.corpus.languages}")
     rows = []
     for value, cfg in zip(grid, configs):
         corpus = generate_corpus(cfg)
-        for record in corpus.train_pairs + corpus.train_cif + corpus.heldout_pairs + corpus.heldout_cif:
-            check_fits(record, cfg.model)
+        check_corpus_fits(corpus, cfg.model)
         result = train(cfg.model, cfg.train, corpus, seed=cfg.seed)
         final = result.reports[-1]  # train always reports at its final step
         pair_audit = C.audit_pairs(corpus.train_pairs)

@@ -93,6 +93,27 @@ class TestGenCorpus:
         blocker.write_text("a file, not a directory")
         assert run_cli(["gen-corpus", "--config", cfg, "--out", str(blocker)]) == 3
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["model.max_seq_len=12"], "exceed the model's max_seq_len 12"),
+            (["corpus.length_max=40"], "exceed the model's max_seq_len 48"),
+            (
+                ['corpus.languages=["L0","L1","L2"]', 'corpus.transforms=["identity","identity","identity"]',
+                 "model.vocab_size=45"],
+                "outside the model's vocabulary [0, 45)",
+            ),
+        ],
+        ids=["short-model", "long-sentences", "three-languages"],
+    )
+    def test_corpus_the_model_cannot_fit_exit_2_writes_nothing(self, ws, capsys, overrides, message):
+        """A corpus that train would reject is never written."""
+        tmp, cfg = ws
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        assert run_cli(["gen-corpus", "--config", cfg, *sets]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "corpus").exists()
+
 
 class TestTrain:
     def test_missing_corpus_exit_2(self, ws):
@@ -516,9 +537,9 @@ class TestOutOfVocabCorpus:
 
 def test_over_long_corpus_record_exit_2_before_any_step(ws, capsys):
     tmp, cfg = ws
-    longer = ["--set", "corpus.length_max=40"]  # CIF samples of up to 85 tokens; max_seq_len is 48
-    assert run_cli(["gen-corpus", "--config", cfg, *longer]) == 0
-    assert run_cli(["train", "--config", cfg, *longer]) == 2
+    longer = ["--set", "corpus.length_max=40"]  # CIF samples of up to 85 tokens
+    assert run_cli(["gen-corpus", "--config", cfg, *longer, "--set", "model.max_seq_len=96"]) == 0
+    assert run_cli(["train", "--config", cfg, *longer]) == 2  # max_seq_len is 48
     err = capsys.readouterr().err
     assert re.search(r"cif\.jsonl line \d+: \d+ tokens exceed the model's max_seq_len 48", err), err
     assert not (tmp / "run" / "checkpoint_step0.afpt").exists()
@@ -588,6 +609,8 @@ class TestSweepCommand:
             (["--kind", "policy", "--grid", "pivot,ring"], "unknown policy 'ring'"),
             (["--kind", "layer", "--grid", "0,5"], "train.align_layer 5 outside [0, 2]"),
             (["--kind", "alpha", "--grid", "1.0,2.0", "--set", "eval.max_new_tokens=2"], "eval.max_new_tokens 2"),
+            (["--kind", "alpha", "--grid", "1.5", "--set", "eval.eval_src_lang=L9"], "unknown language 'L9'"),
+            (["--kind", "policy", "--grid", "pivot", "--set", "eval.eval_tgt_lang=L2"], "unknown language 'L2'"),
         ],
     )
     def test_bad_input_exit_2_before_training(self, ws, monkeypatch, capsys, args, message):

@@ -303,6 +303,33 @@ def same_or_close(got, want, exact):
     return got.dtype == want.dtype and np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
 
 
+# Recorded products and the embedding gradient's sort-sum run over the held
+# rows alone, so their float32 sums round in another order than over every
+# row: about 16 float32 epsilons, against a worst of 8.9e-7 over the desk and
+# train_mcl_deep steps.
+GRAD_TOL = 2e-6
+
+
+def grads_close(got: dict, want: dict) -> bool:
+    """The same leaves hold gradients, each within GRAD_TOL of the largest entry
+    of want's. A key bias's exact gradient is zero (softmax ignores a shift
+    shared by every key), so its entries are rounding noise, held to GRAD_TOL of
+    the largest entry of every gradient instead."""
+    if [n for n, g in got.items() if g is None] != [n for n, g in want.items() if g is None]:
+        return False
+    largest = max(np.abs(g).max() for g in want.values() if g is not None)
+    return all(
+        got[n].dtype == g.dtype
+        and np.abs(got[n] - g).max() <= GRAD_TOL * (largest if n.endswith(".bk") else np.abs(g).max())
+        for n, g in want.items()
+        if g is not None
+    )
+
+
+def grad_bytes(grads: dict) -> dict:
+    return {name: None if g is None else g.tobytes() for name, g in grads.items()}
+
+
 class TestReadPositions:
     """A graph-free forward given `read` computes only what the read positions
     depend on; the oracle is a full forward, then gather_rows or pool."""
@@ -371,9 +398,10 @@ class TestReadPositions:
 
     @pytest.mark.parametrize("pooling", POOLING_METHODS)
     @pytest.mark.parametrize("config", list(TRAIN_CONFIGS))
-    def test_recorded_afp_loss_byte_equal_to_full_forwards(self, monkeypatch, desk_corpus, config, pooling):
-        """The loss and every leaf gradient of a training step, against the same
-        step with every forward computing every position."""
+    def test_recorded_afp_loss_equal_and_gradients_close_to_full_forwards(self, monkeypatch, desk_corpus, config, pooling):
+        """A training step against the same step with every forward computing
+        every position: the loss is byte-equal, every leaf gradient within
+        GRAD_TOL (see grads_close), and a rerun gives the same bytes."""
         run = RunConfig()
         tcfg = dataclasses.replace(run.train, **{**self.TRAIN_CONFIGS[config], "pooling": pooling})
         params = init_params(run.model, seed=3)
@@ -384,7 +412,7 @@ class TestReadPositions:
             with Graph() as g:
                 loss = afp_loss(params, pairs, cif, tcfg)
             T.backward(g, loss)
-            return loss.data.tobytes(), {name: None if t.grad is None else t.grad.tobytes() for name, t in params.named()}
+            return loss.data.tobytes(), {name: t.grad for name, t in params.named()}
 
         real = M.forward
 
@@ -395,13 +423,14 @@ class TestReadPositions:
             pairs = C.collate_pairs(desk_corpus.train_pairs[k * tcfg.mcl_batch : (k + 1) * tcfg.mcl_batch])
             cif = C.collate_cif(desk_corpus.train_cif[k * tcfg.cif_batch : (k + 1) * tcfg.cif_batch])
             assert not pairs.src_pad.all() and not cif.pad_mask.all()  # padding to skip
-            got = step(pairs, cif)
+            got, again = step(pairs, cif), step(pairs, cif)
             with monkeypatch.context() as m:
                 m.setattr(M, "forward", full_forward)
                 m.setattr(losses, "forward", full_forward)
                 want = step(pairs, cif)
-            assert got[0] == want[0]
-            assert got[1] == want[1]
+            assert got[0] == again[0] == want[0]
+            assert grad_bytes(got[1]) == grad_bytes(again[1])
+            assert grads_close(got[1], want[1])
             assert (got[1]["out_proj"] is None) == (tcfg.alpha == 0)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
@@ -579,7 +608,7 @@ def desk_corpus():
 
 
 class TestScoredRowsHead:
-    """sequence_nll runs the head on the scored rows only, with the bits of the full head."""
+    """sequence_nll runs the head on the scored rows only, with the loss of the full head."""
 
     def loss_and_grads(self, params, fn):
         for _, t in params.named():
@@ -588,13 +617,13 @@ class TestScoredRowsHead:
             loss = fn()
         shapes = [node.out.shape for node in g.nodes]
         T.backward(g, loss)
-        return loss.data.tobytes(), {name: t.grad.tobytes() for name, t in params.named()}, shapes
+        return loss.data.tobytes(), {name: t.grad for name, t in params.named()}, shapes
 
     # (first train sample, scored positions kept): whole desk batches, and one
-    # with few scored rows, where OpenBLAS sums a product of those rows alone
-    # in another order than the full head's
+    # with few scored rows, whose head products OpenBLAS may sum in yet
+    # another order
     @pytest.mark.parametrize("start, keep", [(0, None), (96, None), (0, 5)])
-    def test_loss_and_every_gradient_byte_equal_to_the_full_head(self, desk_corpus, start, keep):
+    def test_loss_equal_and_gradients_close_to_the_full_head(self, desk_corpus, start, keep):
         params = init_params(RunConfig().model, seed=3)
         batch = C.collate_cif(desk_corpus.train_cif[start : start + 32])
         assert not batch.pad_mask.all() and batch.pad_mask[:, 0].all()  # right-padded
@@ -603,12 +632,13 @@ class TestScoredRowsHead:
             mask.flat[np.flatnonzero(mask)[keep:]] = False
         args = (params, batch.tokens, mask, batch.pad_mask)
         loss, grads, shapes = self.loss_and_grads(params, lambda: sequence_nll(*args)[0])
+        again_loss, again_grads, _ = self.loss_and_grads(params, lambda: sequence_nll(*args)[0])
         want_loss, want_grads, _ = self.loss_and_grads(params, lambda: composed_nll(*args))
         vocab_rows = {shape[0] for shape in shapes if shape[-1:] == (params.config.vocab_size,)}
         assert vocab_rows == {int(mask.sum())}  # logits of the scored rows only
-        assert loss == want_loss
-        assert list(grads) == list(want_grads)
-        assert all(grads[name] == want_grads[name] for name in grads)
+        assert loss == again_loss == want_loss
+        assert grad_bytes(grads) == grad_bytes(again_grads)
+        assert grads_close(grads, want_grads)
 
     def test_chunked_traced_peak_below_full_outputs(self, desk_corpus):
         cfg = RunConfig().model

@@ -403,6 +403,48 @@ class TestGatherRows:
         assert out.data.tobytes() == x.data.reshape(10, 3)[idx].tobytes()
 
 
+EMBEDDING_IDS = {
+    "distinct": [3, 0, 7, 5],
+    "repeated": stream(7, "embedding-ids").integers(0, 10, size=300),
+    "2d": [[4, 1, 4, 9], [1, 1, 6, 4]],
+    "empty": [],
+}
+
+
+class TestEmbeddingGradient:
+    """embedding's backward sums each id's rows with np.add.reduceat over the
+    ids' stable sort; the oracle is np.add.at into zeros."""
+
+    def gradient(self, dtype, ids, g):
+        table = Tensor(np.ones((10, g.shape[-1]), dtype), requires_grad=True)
+        with Graph() as graph:
+            out = T.embedding(table, ids)
+        assert out.shape == g.shape
+        want = np.zeros_like(table.data)
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, g.shape[-1]))
+        return graph.nodes[0].backward(g)[0], want
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 4e-15)])
+    @pytest.mark.parametrize("case", list(EMBEDDING_IDS))
+    def test_gradient_against_add_at_into_zeros(self, dtype, tol, case):
+        """Bit-equal where no id repeats; a repeated id's rows are summed in
+        another order, within tol of the largest entry."""
+        ids = np.asarray(EMBEDDING_IDS[case], dtype=np.int64)
+        g = stream(8, "embedding-bwd", case).normal(size=(*ids.shape, 8)).astype(dtype)
+        got, want = self.gradient(dtype, ids, g)
+        assert got.dtype == dtype
+        if np.unique(ids).size == ids.size:
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_lone_negative_zero_row_gives_positive_zero(self):
+        ids = np.array([2, 5, 5])
+        g = np.full((3, 4), -0.0, np.float32)  # np.add.at gives 0 + -0 = +0, and +0 + -0 = +0
+        got, want = self.gradient(np.float32, ids, g)
+        assert got.tobytes() == want.tobytes() and not np.signbit(got).any()
+
+
 class TestCheckedMode:
     def test_overflow_raises_instead_of_inf(self):
         T.set_checked(True)

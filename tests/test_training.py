@@ -96,17 +96,22 @@ def params_equal(a, b):
 
 
 def spy_rows(monkeypatch) -> dict:
-    """Counts the rows each call of T.gelu and T.layer_norm runs on."""
-    rows = {"gelu": 0, "layer_norm": 0}
-    for op in rows:
+    """Records the rows of each call of T.gelu, T.layer_norm and T.matmul: op -> list of row counts.
+    A product's gradient products run over the rows of its first input."""
+    calls = {"gelu": [], "layer_norm": [], "matmul": []}
+    for op in calls:
         real = getattr(T, op)
 
         def spy(x, *args, _op=op, _real=real):
-            rows[_op] += x.shape[0]
+            calls[_op].append(x.shape[0])
             return _real(x, *args)
 
         monkeypatch.setattr(T, op, spy)
-    return rows
+    return calls
+
+
+def row_totals(calls: dict) -> dict:
+    return {op: sum(rows) for op, rows in calls.items()}
 
 
 def live_and_read(read, valid) -> tuple[int, int]:
@@ -117,16 +122,20 @@ def live_and_read(read, valid) -> tuple[int, int]:
 
 
 def pruned_rows(cfg, pairs, cif) -> dict:
-    """GELU and layer-norm rows of both pair sides (mean pooling) and the CIF batch."""
+    """GELU, layer-norm and product rows of both pair sides (mean pooling), the
+    MCL similarities and the CIF batch."""
     assert cfg.train.pooling == "mean"  # it reads the valid positions
     # (read, valid, blocks run, final norms): both pair sides, then the CIF batch
     forwards = [(pad, pad, cfg.train.align_layer, 0) for pad in (pairs.src_pad, pairs.tgt_pad)]
     forwards.append((cif.loss_mask, cif.pad_mask, cfg.model.n_layers, 1))
-    want = {"gelu": 0, "layer_norm": 0}
+    # one [n, n] similarity product per MCL direction
+    want = {"gelu": 0, "layer_norm": 0, "matmul": len(pairs.src_tokens) * (1 + cfg.train.symmetric_mcl)}
     for read, valid, blocks, final_norms in forwards:
         live, n_read = live_and_read(read, valid)
         want["gelu"] += (blocks - 1) * live + n_read
         want["layer_norm"] += (blocks - 1) * 2 * live + live + n_read + final_norms * n_read
+        # q, k and v of every block over the live rows, then wo, w1 and w2 (and the head) over the held ones
+        want["matmul"] += (blocks - 1) * 6 * live + 3 * live + 3 * n_read + final_norms * n_read
     return want
 
 
@@ -271,13 +280,14 @@ class TestTrain:
         rows = spy_rows(monkeypatch)
         heldout_metrics(params, corpus, cfg.train, step=0)
         pairs, cif = C.collate_pairs(corpus.heldout_pairs), C.collate_cif(corpus.heldout_cif)
-        assert rows == pruned_rows(cfg, pairs, cif)
+        assert row_totals(rows) == pruned_rows(cfg, pairs, cif)
         live, n_read = live_and_read(cif.loss_mask, cif.pad_mask)
         assert n_read < live < cif.pad_mask.sum() < cif.pad_mask.size
 
     def test_desk_training_step_computes_only_live_and_read_rows(self, monkeypatch):
         """The same counts for a recorded desk step, forward and backward: its
-        forwards hold only the rows its losses read, as graph-free ones do."""
+        forwards hold only the rows its losses read, as graph-free ones do, and
+        every product, with its gradient products, runs over those rows."""
         cfg = RunConfig()
         corpus = generate_corpus(cfg)
         params = init_params(cfg.model, seed=cfg.seed)
@@ -287,8 +297,10 @@ class TestTrain:
         with Graph() as g:
             loss = losses.afp_loss(params, pairs, cif, cfg.train)
         backward(g, loss)
-        assert rows == pruned_rows(cfg, pairs, cif)
+        assert row_totals(rows) == pruned_rows(cfg, pairs, cif)
         assert not pairs.src_pad.all() and not cif.pad_mask.all()
+        full = {pad.size for pad in (pairs.src_pad, pairs.tgt_pad, cif.pad_mask)}
+        assert not full & set(rows["matmul"])  # no product over every position of a batch
 
     def test_no_tape_tensor_alive_when_adamw_runs(self, tiny_corpus, monkeypatch):
         tapes, alive = [], []
