@@ -28,7 +28,7 @@ from .training import (
     SWEEP_KINDS,
     CorpusHandles,
     ablation_sweep,
-    check_corpus_fits,
+    check_corpus,
     check_fits,
     generate_corpus,
     heldout_metrics,
@@ -48,7 +48,7 @@ def cmd_gen_corpus(args) -> int:
     cfg = _load_run_config(args)
     out_dir = args.out or cfg.paths.corpus_dir
     handles = generate_corpus(cfg)
-    check_corpus_fits(handles, cfg.model)  # what train would reject is not written
+    check_corpus(handles, cfg)  # what train would reject is not written
     os.makedirs(out_dir, exist_ok=True)
     with atomic_write(os.path.join(out_dir, "family.json")) as fh:
         json.dump(handles.family.to_json(), fh, sort_keys=True, indent=2)

@@ -143,7 +143,9 @@ class ForwardResult:
     hidden_states (index 0 = embeddings). With upto_layer=L there are still
     L + 1 entries, but only index L is filled and the lower ones are None,
     so a forward keeps only the layer its caller reads. A forward given
-    `read` holds zeros outside the read positions."""
+    `read` computes only the rows it needs inside its blocks, and spreads
+    each returned layer and its logits into the full shape, with zeros
+    outside the read positions."""
 
     hidden_states: list  # [batch, seq, d_model] Tensor, or None below upto_layer
     logits: Tensor | None  # [batch, seq, vocab]; None when stopped early
@@ -290,8 +292,11 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
 
     With `read`, the residual stream holds the live rows only, and in the
     last block only the read rows continue past attention (see _live_rows).
-    Attention itself runs over every position, with zero queries, keys and
-    values where a row was skipped: a masked key weighs exactly 0.
+    T.attention takes the live rows packed, with their flat positions, and
+    returns the rows that go on; it runs over every position, with zero
+    queries, keys and values where a row was skipped (a masked key weighs
+    exactly 0), in layouts that only its own products hold. Each product
+    adds its bias itself, so every recorded value is on the tape once.
     """
     cfg = params.config
     b, s = tokens.shape
@@ -320,7 +325,7 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         return _spread(x if held is top else T.gather_rows(x, np.searchsorted(live, top)), top, (b, s, d))
 
     def linear(x, w, bias):  # x @ w + bias over the rows x holds
-        return T.add_bias(T.matmul(x, params[p + w]), params[p + bias])
+        return T.matmul(x, params[p + w], params[p + bias])
 
     hidden = [(emb if read is None else layer_out(x)) if upto_layer in (None, 0) else None]
     for i in range(n_blocks):
@@ -332,13 +337,9 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
             cache.values[i][:, past : past + s] = v.data.reshape(b, s, d)
             k = Tensor(cache.keys[i][:, : past + s])
             v = Tensor(cache.values[i][:, : past + s])
-        if held is not None:
-            q, k, v = (_spread(t, live, (b * s, d)) for t in (q, k, v))
-        ctx = T.attention(q, k, v, attn_bias, h)
-        if held is not None:
-            if i == n_blocks - 1:  # only the read rows continue
-                x, held = x if live is top else T.gather_rows(x, np.searchsorted(live, top)), top
-            ctx = T.gather_rows(ctx, held)
+        if held is not None and i == n_blocks - 1:  # only the read rows continue
+            x, held = x if live is top else T.gather_rows(x, np.searchsorted(live, top)), top
+        ctx = T.attention(q, k, v, attn_bias, h, rows=live, keep=held)  # dense when live is None
         x = T.add(x, linear(ctx, "attn.wo", "attn.bo"))
 
         m = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"], LN_EPS)

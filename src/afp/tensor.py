@@ -237,14 +237,25 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return apply_op("add_bias", xd + bd, (x, b), lambda g: (g, g.sum(axis=tuple(range(g.ndim - 1)))))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C[m,n] = A[m,k] @ B[k,n]."""
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """C[m,n] = A[m,k] @ B[k,n], plus bias[n] when given.
+
+    The bias is added in place into the product, so the tape holds one
+    array and one node where add_bias(matmul(a, b), bias) holds two, with
+    the same bits forward and backward.
+    """
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} are incompatible")
     if ad.dtype != bd.dtype:
         raise ShapeError(f"matmul: dtypes {a.dtype} and {b.dtype} differ")
-    return apply_op("matmul", ad @ bd, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    out = ad @ bd
+    if bias is None:
+        return apply_op("matmul", out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    if bias.data.shape != (bd.shape[1],) or bias.dtype != bd.dtype:
+        raise ShapeError(f"matmul: bias {bias.shape} {bias.dtype} vs product columns {bd.shape[1]} {bd.dtype}")
+    out += bias.data
+    return apply_op("matmul", out, (a, b, bias), lambda g: (g @ bd.T, ad.T @ g, g.sum(axis=0)))
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -293,26 +304,27 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return apply_op("embedding", table.data[ids], (table,), bwd)
 
 
+def _scatter_rows(shape: tuple, idx: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Zeros of the given shape with g's rows added at flat row positions idx."""
+    out = np.zeros(shape, g.dtype)
+    rows, flat = out.reshape(-1, shape[-1]), idx.reshape(-1)
+    if (flat[1:] > flat[:-1]).all():  # increasing, so distinct: np.add.at's sums, about 10x faster
+        rows[idx] += g
+    else:
+        np.add.at(rows, idx, g)
+    return out
+
+
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Pick rows of x[..., d], numbered over its leading dims: idx[m] -> [m,d]."""
     idx = np.asarray(idx)
     if x.data.ndim < 2:
         raise ShapeError(f"gather_rows: expected an input of 2 or more dims, got {x.shape}")
-    shape, dtype = x.data.shape, x.data.dtype
+    shape = x.data.shape
     rows = x.data.reshape(-1, shape[-1])
     if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[0]):
         raise IndexError(f"gather_rows: index outside [0, {rows.shape[0]})")
-
-    def bwd(g):
-        gx = np.zeros(shape, dtype)
-        gx_rows, flat = gx.reshape(-1, shape[-1]), idx.reshape(-1)
-        if (flat[1:] > flat[:-1]).all():  # increasing, so distinct: np.add.at's sums, about 10x faster
-            gx_rows[idx] += g
-        else:
-            np.add.at(gx_rows, idx, g)
-        return (gx,)
-
-    return apply_op("gather_rows", rows[idx], (x,), bwd)
+    return apply_op("gather_rows", rows[idx], (x,), lambda g: (_scatter_rows(shape, idx, g),))
 
 
 def _horner(t: np.ndarray, coefs: tuple, out: np.ndarray) -> np.ndarray:
@@ -407,47 +419,81 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return apply_op("softmax_lastdim", s.astype(x.dtype, copy=False), (x,), bwd)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int, rows=None, keep=None) -> Tensor:
     """Causal multi-head attention as one tape node: q[B*S, D], k/v[B*Sk, D] -> [B*S, D].
 
     `bias` is the additive [B, 1, S, Sk] mask (MASK_FILL where a key is
     hidden), broadcast over heads; k and v may also come as [B, Sk, D].
+
+    With `rows`, q, k and v hold packed rows instead: row i belongs at flat
+    position rows[i] of the [B*S, D] layout (S == Sk), and every other
+    position has a zero query, key and value. The output holds only the
+    rows at flat positions `keep` (default `rows`), [len(keep), D]. The
+    zero layouts exist only for the products: the backward lays them out
+    again from its inputs, so the tape holds the packed rows alone.
+
     Forward and backward run the numpy expressions of the
-    reshape/permute/bmm/scale/add/softmax_lastdim/bmm chain in its order, so
-    the output and all three gradients are bit-identical to that chain's.
+    reshape/permute/bmm/scale/add/softmax_lastdim/bmm chain in its order,
+    on head-major strided views of q, k and v rather than copies. The
+    output and all three gradients are bit-identical to that chain's, and
+    with `rows` to that chain over the zero layouts followed by a gather
+    of the `keep` rows.
     """
     b, _, s, sk = bias.shape
     d = q.shape[-1]
-    if d % n_heads or q.shape != (b * s, d) or k.size != b * sk * d or v.size != b * sk * d:
+    if rows is None:
+        ok = q.shape == (b * s, d) and k.size == v.size == b * sk * d
+    else:
+        rows = np.asarray(rows)
+        keep = rows if keep is None else np.asarray(keep)
+        ok = sk == s and rows.ndim == keep.ndim == 1 and q.shape == k.shape == v.shape == (rows.size, d)
+    if d % n_heads or not ok:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape} vs bias {bias.shape}, {n_heads} heads")
     if not q.dtype == k.dtype == v.dtype == bias.dtype:
         raise ShapeError(f"attention: dtypes {q.dtype}, {k.dtype}, {v.dtype}, {bias.dtype} differ")
+    if rows is not None and any(i.size and (i.min() < 0 or i.max() >= b * s) for i in (rows, keep)):
+        raise IndexError(f"attention: row outside [0, {b * s})")
     h, dh = n_heads, d // n_heads
     c = float(1.0 / np.sqrt(dh))
-    q3 = q.data.reshape(b, s, h, dh).transpose(0, 2, 1, 3).reshape(b * h, s, dh)
-    kt3 = k.data.reshape(b, sk, h, dh).transpose(0, 2, 3, 1).reshape(b * h, dh, sk)
-    v3 = v.data.reshape(b, sk, h, dh).transpose(0, 2, 1, 3).reshape(b * h, sk, dh)
-    scores = ((q3 @ kt3) * np.asarray(c, dtype=q.dtype)).reshape(b, h, s, sk) + bias
+
+    def heads():  # [B, H, S or Sk, dh] views of the (laid-out) q, k and v
+        out = []
+        for t, n in ((q, s), (k, sk), (v, sk)):
+            x = t.data
+            if rows is not None:
+                x = np.zeros((b * s, d), t.dtype)
+                x[rows] = t.data
+            out.append(x.reshape(b, n, h, dh).transpose(0, 2, 1, 3))
+        return out
+
+    q4, k4, v4 = heads()
+    scores = (q4 @ k4.transpose(0, 1, 3, 2)) * np.asarray(c, dtype=q.dtype) + bias
     if np.isnan(scores).any():
         raise NumericError("attention: NaN in scores")
-    scores = scores.reshape(b * h, s, sk)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w = e / e.sum(axis=-1, keepdims=True)
-    ctx = w @ v3
-    out = ctx.reshape(b, h, s, dh).transpose(0, 2, 1, 3).reshape(b * s, d)
+    out = (w @ v4).transpose(0, 2, 1, 3).reshape(b * s, d)
+    if rows is not None:
+        out = out[keep]
 
     def bwd(g):
-        g3 = g.reshape(b, s, h, dh).transpose(0, 2, 1, 3).reshape(b * h, s, dh)
-        gw = g3 @ v3.transpose(0, 2, 1)
-        gv3 = w.transpose(0, 2, 1) @ g3
+        q4, k4, v4 = heads()
+        if rows is not None:
+            g = _scatter_rows((b * s, d), keep, g)
+        g4 = g.reshape(b, s, h, dh).transpose(0, 2, 1, 3)
+        gw = g4 @ v4.transpose(0, 1, 3, 2)
+        gv4 = w.transpose(0, 1, 3, 2) @ g4
         gs = ((gw - (gw * w).sum(axis=-1, keepdims=True)) * w) * c
-        gq3 = gs @ kt3.transpose(0, 2, 1)
-        gkt3 = q3.transpose(0, 2, 1) @ gs
-        return (
-            gq3.reshape(b, h, s, dh).transpose(0, 2, 1, 3).reshape(q.shape),
-            gkt3.reshape(b, h, dh, sk).transpose(0, 3, 1, 2).reshape(k.shape),
-            gv3.reshape(b, h, sk, dh).transpose(0, 2, 1, 3).reshape(v.shape),
+        gq4 = gs @ k4
+        gkt4 = q4.transpose(0, 1, 3, 2) @ gs
+        grads = (
+            gq4.transpose(0, 2, 1, 3).reshape(b * s, d),
+            gkt4.transpose(0, 3, 1, 2).reshape(b * sk, d),
+            gv4.transpose(0, 2, 1, 3).reshape(b * sk, d),
         )
+        if rows is None:
+            return tuple(gx.reshape(t.shape) for gx, t in zip(grads, (q, k, v)))
+        return tuple(gx[rows] for gx in grads)
 
     return apply_op("attention", out, (q, k, v), bwd)
 

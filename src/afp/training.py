@@ -101,10 +101,25 @@ def check_fits(record, model: ModelConfig):
     return record
 
 
-def check_corpus_fits(corpus: CorpusHandles, model: ModelConfig) -> None:
-    """check_fits on every record of a generated corpus."""
+def check_corpus(corpus: CorpusHandles, cfg: RunConfig) -> None:
+    """What train would reject in a generated corpus: check_fits on every
+    record, then check_corpus_size."""
     for record in corpus.train_pairs + corpus.train_cif + corpus.heldout_pairs + corpus.heldout_cif:
-        check_fits(record, model)
+        check_fits(record, cfg.model)
+    check_corpus_size(corpus, cfg.train.mcl_batch)
+
+
+def check_corpus_size(corpus: CorpusHandles, mcl_batch: int | None = None) -> None:
+    """UsageError unless the held-out sets hold at least 2 pairs and one CIF
+    sample (what heldout_metrics needs) and, given mcl_batch, training can
+    draw pair batches of at least 2 pairs and has a CIF sample."""
+    if mcl_batch is not None:
+        if min(mcl_batch, len(corpus.train_pairs)) < 2:
+            raise UsageError("MCL needs pair batches of at least 2 pairs for in-batch negatives")
+        if not corpus.train_cif:
+            raise UsageError("training needs at least one CIF sample")
+    if len(corpus.heldout_pairs) < 2 or not corpus.heldout_cif:
+        raise UsageError("held-out metrics need at least 2 held-out pairs and one held-out CIF sample")
 
 
 def _epoch_batches(dataset, batch_size, seed, epoch):
@@ -123,8 +138,7 @@ def _endless(dataset, batch_size, seed):
 
 def heldout_metrics(params: ModelParams, corpus: CorpusHandles, tcfg: TrainConfig, step: int) -> AlignReport:
     """Alignment diagnostics plus loss values on the held-out sets (no graph)."""
-    if len(corpus.heldout_pairs) < 2 or not corpus.heldout_cif:
-        raise UsageError("held-out metrics need at least 2 held-out pairs and one held-out CIF sample")
+    check_corpus_size(corpus)
     pair_batch = C.collate_pairs(corpus.heldout_pairs)
     h = embed(params, pair_batch.src_tokens, pair_batch.src_pad, tcfg.align_layer, tcfg.pooling)
     h_plus = embed(params, pair_batch.tgt_tokens, pair_batch.tgt_pad, tcfg.align_layer, tcfg.pooling)
@@ -161,10 +175,7 @@ def train(
     checkpoint_dir is given. A non-finite loss aborts with the last good
     (eval-point) parameters attached to the error.
     """
-    if min(train_config.mcl_batch, len(corpus.train_pairs)) < 2:
-        raise UsageError("MCL needs pair batches of at least 2 pairs for in-batch negatives")
-    if not corpus.train_cif:
-        raise UsageError("training needs at least one CIF sample")
+    check_corpus_size(corpus, train_config.mcl_batch)
     params = init_params(model_config, seed)
     opt = init_opt_state(params)
     mcl_stream = _endless(corpus.train_pairs, train_config.mcl_batch, seed + 101)
@@ -270,17 +281,19 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
     """
     if grid is None:
         grid = default_grid(kind, base_config.model)
-    # every value, and the eval length and languages of each point, are checked before any training
+    # every value, the eval length and languages and the corpus of each point are checked before any
+    # training; a point's corpus is generated again when it trains, so only one is held at a time
     configs = [_with_value(base_config, kind, value) for value in grid]
     for cfg in configs:
         check_max_new_tokens(cfg.eval.max_new_tokens, cfg.corpus.length_max)
         for lang in (cfg.eval.eval_src_lang, cfg.eval.eval_tgt_lang):
             if lang not in cfg.corpus.languages:
                 raise UsageError(f"unknown language {lang!r}: corpus.languages are {cfg.corpus.languages}")
+    for cfg in configs:
+        check_corpus(generate_corpus(cfg), cfg)
     rows = []
     for value, cfg in zip(grid, configs):
         corpus = generate_corpus(cfg)
-        check_corpus_fits(corpus, cfg.model)
         result = train(cfg.model, cfg.train, corpus, seed=cfg.seed)
         final = result.reports[-1]  # train always reports at its final step
         pair_audit = C.audit_pairs(corpus.train_pairs)

@@ -115,6 +115,25 @@ class TestGenCorpus:
         assert not (tmp / "corpus").exists()
 
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("corpus.n_heldout_pairs=1", "at least 2 held-out pairs"),
+            ("corpus.n_heldout_pairs=0", "at least 2 held-out pairs"),
+            ("corpus.n_heldout_cif=0", "one held-out CIF sample"),
+            ("corpus.n_cif=0", "at least one CIF sample"),
+            ("corpus.n_pairs_per_combination=1", "at least 2 pairs for in-batch negatives"),
+        ],
+        ids=["one-heldout-pair", "no-heldout-pairs", "no-heldout-cif", "no-cif", "one-pair"],
+    )
+    def test_corpus_too_small_to_train_exit_2_writes_nothing(self, ws, capsys, override, message):
+        """A corpus too small for train or its held-out metrics is never written."""
+        tmp, cfg = ws
+        assert run_cli(["gen-corpus", "--config", cfg, "--set", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp / "corpus").exists()
+
+
 class TestTrain:
     def test_missing_corpus_exit_2(self, ws):
         _, cfg = ws
@@ -146,11 +165,20 @@ class TestTrain:
         lines = (tmp / "run" / "reports.jsonl").read_text().strip().split("\n")
         assert len(lines) == 4 // 2 + 1
 
-    @pytest.mark.parametrize("override", ["corpus.n_cif=0", "corpus.n_heldout_cif=0", "corpus.n_heldout_pairs=1"])
-    def test_too_small_corpus_exit_2(self, ws, override):
-        _, cfg = ws
-        assert run_cli(["gen-corpus", "--config", cfg, "--set", override]) == 0
-        assert run_cli(["train", "--config", cfg, "--set", override, "--set", "train.steps=0"]) == 2
+    @pytest.mark.parametrize(
+        "name, keep",
+        [("cif.jsonl", 0), ("heldout_cif.jsonl", 0), ("heldout.jsonl", 1)],
+        ids=["corpus.n_cif=0", "corpus.n_heldout_cif=0", "corpus.n_heldout_pairs=1"],
+    )
+    def test_too_small_corpus_exit_2(self, ws, name, keep):
+        """A corpus cut down on disk after gen-corpus wrote it, to what those
+        settings would give (gen-corpus itself rejects them)."""
+        tmp, cfg = ws
+        assert run_cli(["gen-corpus", "--config", cfg]) == 0
+        path = tmp / "corpus" / name
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:keep]))
+        assert run_cli(["train", "--config", cfg, "--set", "train.steps=0"]) == 2
+        assert not (tmp / "run" / "checkpoint_step0.afpt").exists()
 
     def test_nan_abort_exit_4_retains_last_good(self, ws):
         tmp, cfg = ws
@@ -611,6 +639,8 @@ class TestSweepCommand:
             (["--kind", "alpha", "--grid", "1.0,2.0", "--set", "eval.max_new_tokens=2"], "eval.max_new_tokens 2"),
             (["--kind", "alpha", "--grid", "1.5", "--set", "eval.eval_src_lang=L9"], "unknown language 'L9'"),
             (["--kind", "policy", "--grid", "pivot", "--set", "eval.eval_tgt_lang=L2"], "unknown language 'L2'"),
+            (["--kind", "alpha", "--grid", "1.0,2.0", "--set", "corpus.n_heldout_cif=0"], "one held-out CIF sample"),
+            (["--kind", "alpha", "--grid", "1.5", "--set", "corpus.n_pairs_per_combination=1"], "at least 2 pairs"),
         ],
     )
     def test_bad_input_exit_2_before_training(self, ws, monkeypatch, capsys, args, message):

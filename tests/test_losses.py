@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,22 +218,27 @@ class TestAfpLoss:
         cif = cif_loss(params, cif_batch)[0].item()
         assert total.item() == pytest.approx(mcl + 1.5 * cif, abs=1e-12)
 
-    def test_desk_tape_op_sequence(self):
-        """The ops a desk training step records. Each forward holds only the
-        rows its loss reads, so the queries, keys and values are spread into
-        attention's layout and its output is gathered back; in the last block
-        only the read rows go on (mean pooling reads every live row)."""
+    @staticmethod
+    def desk_step():
         cfg = RunConfig()
         corpus = generate_corpus(cfg)
         params = init_params(cfg.model, seed=cfg.seed)
         pair_batch, cif_batch = C.collate_pairs(corpus.train_pairs[:32]), C.collate_cif(corpus.train_cif[:32])
+        return cfg, lambda: afp_loss(params, pair_batch, cif_batch, cfg.train)
+
+    def test_desk_tape_op_sequence(self):
+        """The ops a desk training step records. Each forward holds only the
+        rows its loss reads: attention takes the live rows packed and returns
+        the rows that go on, and each product adds its bias itself; in the
+        last block only the read rows go on (mean pooling reads every live
+        row)."""
+        cfg, step = self.desk_step()
         with Graph() as g:
-            afp_loss(params, pair_batch, cif_batch, cfg.train)
+            step()
 
         def block(gather_x):
-            return ["layer_norm", *["matmul", "add_bias"] * 3, *["spread"] * 3, "attention",
-                    *["gather_rows"] * (1 + gather_x), "matmul", "add_bias", "add",
-                    "layer_norm", "matmul", "add_bias", "gelu", "matmul", "add_bias", "add"]
+            return ["layer_norm", *["matmul"] * 3, *["gather_rows"] * gather_x, "attention", "matmul", "add",
+                    "layer_norm", "matmul", "gelu", "matmul", "add"]
 
         def forward_ops(n_blocks, gather_x):
             return ["embedding", "embedding", "add", *block(False) * (n_blocks - 1), *block(gather_x), "spread"]
@@ -243,7 +249,22 @@ class TestAfpLoss:
         cif = [*forward_ops(cfg.model.n_layers, True), "gather_rows", "layer_norm", "matmul", "cross_entropy_rows"]
         want = [*side, *side, *mcl, *cif, "scale", "add"]
         assert [n.op for n in g.nodes] == want
-        assert len(want) == 159
+        assert len(want) == 99
+
+    def test_desk_tape_holds_at_most_17_mib(self):
+        """Traced numpy memory held after a desk afp_loss forward, the tape
+        alive: each recorded value exists once (25.7 MiB when every product
+        kept a bias-free copy and attention its spread and head-major ones)."""
+        _, step = self.desk_step()
+        tracemalloc.start()
+        try:
+            with Graph():
+                loss = step()
+                held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(loss.item())
+        assert held <= 17 * 2**20, held / 2**20
 
     def test_align_layer_out_of_range(self, tiny):
         family, _, params = tiny

@@ -383,7 +383,7 @@ class TestReadPositions:
         full = forward(params, tokens, pad)
         products = []
         real = T.matmul
-        monkeypatch.setattr(T, "matmul", lambda a, b: products.append(a.shape[0]) or real(a, b))
+        monkeypatch.setattr(T, "matmul", lambda a, b, *bias: products.append(a.shape[0]) or real(a, b, *bias))
         got = forward(params, tokens, pad, read=read)
         # a gemv (a product of one row) rounds differently, unless the full forward runs one too
         assert min(products) == min(s, 2)

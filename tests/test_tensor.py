@@ -76,6 +76,31 @@ class TestMatmul:
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             T.matmul(t64(np.ones((2, 3))), t64(np.ones((2, 3))))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bias_bit_identical_to_add_bias_of_the_product(self, dtype):
+        """Forward and all three gradients, one tape node instead of two."""
+        rng = stream(13, "matmul-bias", np.dtype(dtype).name)
+        arrays = [rng.standard_normal(shape).astype(dtype) for shape in [(9, 6), (6, 5), (5,)]]
+        weight = Tensor(rng.standard_normal((9, 5)).astype(dtype))
+        runs, ops = [], []
+        for fn in (T.matmul, lambda a, w, b: T.add_bias(T.matmul(a, w), b)):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            with Graph() as g:
+                out = fn(*leaves)
+                ops.append([n.op for n in g.nodes])
+                backward(g, T.sum_all(T.mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in leaves])
+        assert ops == [["matmul"], ["matmul", "add_bias"]]
+        for fused, composed in zip(*runs):
+            assert fused.dtype == composed.dtype == dtype
+            assert fused.shape == composed.shape and fused.tobytes() == composed.tobytes()
+
+    def test_bias_shape_and_dtype_mismatch_rejected(self):
+        a, w = t64(np.ones((2, 3))), t64(np.ones((3, 4)))
+        for bias in (t64(np.ones(3)), t64(np.ones((1, 4))), Tensor(np.ones(4, np.float32))):
+            with pytest.raises(ShapeError, match="bias"):
+                T.matmul(a, w, bias)
+
     def test_identity_associativity_bitwise(self):
         rng = stream(12, "assoc")
         for _ in range(10):
@@ -164,6 +189,25 @@ class TestLayerNorm:
             assert out.data.tobytes() == expected.astype(dtype).tobytes()
 
 
+def spread(x, rows, n):
+    """x's rows at flat positions `rows` of zeros [n, d]; the backward gathers them."""
+    out = np.zeros((n, x.shape[-1]), x.dtype)
+    out[rows] = x.data
+    return T.apply_op("spread", out, (x,), lambda g: (g[rows],))
+
+
+def packed_case(dtype):
+    """A padded batch with its live rows (valid positions up to a per-row cut)
+    and kept rows, a strict subset of the live ones."""
+    b, s, d, h = 3, 7, 12, 2
+    pad = np.ones((b, s), dtype=bool)
+    pad[1, 5:] = False
+    pad[2, 3:] = False
+    live = np.flatnonzero(pad & (np.arange(s) <= np.array([[6], [4], [1]])))
+    keep = live[[0, 3, len(live) - 1]]
+    return b, s, d, h, padded_attention_bias(pad, dtype), live, keep
+
+
 class TestAttention:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_and_gradients_bit_identical_to_composed_chain(self, dtype):
@@ -208,6 +252,83 @@ class TestAttention:
             T.attention(t64(np.ones((3, 4))), t64(np.ones((3, 4))), t64(np.ones((3, 4))), bias, 3)
         with pytest.raises(ShapeError):
             T.attention(t64(np.ones((3, 4))), t64(np.ones((3, 4))), t64(np.ones((3, 4))), bias.astype(np.float32), 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kept", ["subset", "all"])
+    def test_packed_rows_bit_identical_to_spread_dense_and_gather(self, dtype, kept):
+        """Packed rows against spreading them into zeros, the dense op and a
+        gather of the kept rows: output and q/k/v gradients."""
+        b, s, d, h, bias, live, keep = packed_case(dtype)
+        if kept == "all":
+            keep = live
+        assert np.isin(keep, live).all()
+        rng = stream(19, "attn-rows", np.dtype(dtype).name)
+        arrays = [rng.standard_normal((live.size, d)).astype(dtype) for _ in range(3)]
+        weight = Tensor(rng.standard_normal((keep.size, d)).astype(dtype))
+
+        def packed(q, k, v):
+            return T.attention(q, k, v, bias, h, rows=live, keep=None if kept == "all" else keep)
+
+        def oracle(q, k, v):
+            dense = composed_attention(*(spread(t, live, b * s) for t in (q, k, v)), bias, h)
+            return T.gather_rows(dense, keep)
+
+        runs, ops = [], []
+        for fn in (packed, oracle):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            with Graph() as g:
+                out = fn(*leaves)
+                ops.append([n.op for n in g.nodes])
+                backward(g, T.sum_all(T.mul(out, weight)))
+            runs.append([out.data] + [t.grad for t in leaves])
+        assert ops[0] == ["attention"]
+        for got, want in zip(*runs):
+            assert got.dtype == want.dtype == dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert runs[0][0].shape == (keep.size, d)
+
+    def test_dense_call_unchanged_by_rows_over_every_position(self):
+        """rows naming every position in order is the dense op."""
+        b, s, d, h, bias, _, _ = packed_case(np.float64)
+        rng = stream(20, "attn-all-rows")
+        q, k, v = (t64(rng.standard_normal((b * s, d))) for _ in range(3))
+        dense = T.attention(q, k, v, bias, h)
+        packed = T.attention(q, k, v, bias, h, rows=np.arange(b * s))
+        assert dense.data.tobytes() == packed.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "case, error",
+        [
+            ("row-too-large", IndexError),
+            ("negative-row", IndexError),
+            ("keep-too-large", IndexError),
+            ("fewer-rows-than-q", ShapeError),
+            ("k-rows-differ", ShapeError),
+            ("two-d-rows", ShapeError),
+            ("keys-beyond-queries", ShapeError),
+        ],
+    )
+    def test_bad_rows_rejected(self, case, error):
+        b, s, d, h, bias, live, keep = packed_case(np.float64)
+        n = live.size
+        q = k = v = t64(np.ones((n, d)))
+        rows = live.copy()
+        if case == "row-too-large":
+            rows[-1] = b * s
+        elif case == "negative-row":
+            rows[0] = -1
+        elif case == "keep-too-large":
+            keep = np.array([0, b * s])
+        elif case == "fewer-rows-than-q":
+            rows = rows[:-1]
+        elif case == "k-rows-differ":
+            k = t64(np.ones((n - 1, d)))
+        elif case == "two-d-rows":
+            rows = rows.reshape(1, n)
+        else:
+            bias = np.concatenate([bias, bias], axis=-1)
+        with pytest.raises(error):
+            T.attention(q, k, v, bias, h, rows=rows, keep=keep)
 
 
 class TestCrossEntropy:
@@ -314,6 +435,10 @@ OPS = {
         lambda a, b: T.sum_all(T.mul(T.matmul(a, b), T.matmul(a, b))),
         [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))],
     ),
+    "matmul_bias": lambda rng: (
+        lambda a, b, c: T.sum_all(T.mul(T.matmul(a, b, c), T.matmul(a, b, c))),
+        [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)), rng.standard_normal(2)],
+    ),
     "bmm": lambda rng: (
         lambda a, b: T.sum_all(T.mul(T.bmm(a, b), T.bmm(a, b))),
         [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4, 2))],
@@ -370,6 +495,16 @@ OPS = {
             )
         ),
         [rng.standard_normal((6, 4)) for _ in range(3)],
+    ),
+    "attention_rows": lambda rng: (
+        lambda q, k, v: T.sum_all(
+            T.mul(
+                T.attention(q, k, v, padded_attention_bias(np.array([[True] * 3, [True, True, False]])), 2,
+                            rows=np.array([0, 1, 3, 4]), keep=np.array([1, 3, 4])),
+                t64(np.arange(12.0).reshape(3, 4) / 8.0),
+            )
+        ),
+        [rng.standard_normal((4, 4)) for _ in range(3)],
     ),
 }
 
