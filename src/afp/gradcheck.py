@@ -57,8 +57,11 @@ def loss_gradcheck(n_seeds: int = 20, coords_per_tensor: int = 1) -> dict[str, f
     """FD-check the three training losses on a tiny 64-bit model.
 
     Fixed probe: 2 layers, d_model 16, vocab 64, batch 4. Returns the worst
-    relative error per loss kind across all seeds.
+    relative error per loss kind across all seeds. A check of no seed or
+    no coordinate would pass without checking anything: UsageError.
     """
+    if n_seeds < 1 or coords_per_tensor < 1:
+        raise UsageError(f"gradcheck needs at least 1 seed and 1 coordinate, got {n_seeds} and {coords_per_tensor}")
     from . import corpus as C
     from .config import TrainConfig
     from .losses import afp_loss, cif_loss, embed, mcl_loss

@@ -143,11 +143,11 @@ class ForwardResult:
     hidden_states (index 0 = embeddings). With upto_layer=L there are still
     L + 1 entries, but only index L is filled and the lower ones are None,
     so a forward keeps only the layer its caller reads. A forward given
-    `read` computes only the rows it needs inside its blocks, and spreads
-    each returned layer and its logits into the full shape, with zeros
-    outside the read positions."""
+    `read` fills only its top output, hidden_states[L] under upto_layer=L
+    and the logits otherwise, as the read rows packed: [n_read, d_model]
+    or [n_read, vocab], in np.flatnonzero(read) order."""
 
-    hidden_states: list  # [batch, seq, d_model] Tensor, or None below upto_layer
+    hidden_states: list  # [batch, seq, d_model] Tensor, or None where not filled
     logits: Tensor | None  # [batch, seq, vocab]; None when stopped early
 
 
@@ -193,8 +193,8 @@ def forward(
 
     read, a [batch, seq] mask, names the positions the caller reads; each
     needs a valid position at or before it in its row. The forward then
-    computes only what they depend on (see _live_rows), and every output
-    holds zeros elsewhere. This holds under a Graph too.
+    computes only what they depend on (see _live_rows) and returns their
+    rows packed (see ForwardResult). This holds under a Graph too.
     """
     cfg = params.config
     if upto_layer is not None and not 0 <= upto_layer <= cfg.n_layers:
@@ -232,7 +232,8 @@ def forward(
 
 
 def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, read) -> ForwardResult:
-    """_forward over chunks of whole rows (see CHUNK_POSITIONS).
+    """_forward over chunks of whole rows (see CHUNK_POSITIONS), their
+    outputs (packed read rows too) written one after another.
 
     Every op but matmul works row by row, and an OpenBLAS product row keeps
     its bits in any piece of two or more rows at the default model's float32
@@ -243,15 +244,16 @@ def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarr
     bounds = [*range(0, b, rows), b]
     if s == 1 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]  # fold a lone last position into the chunk before
+    at = np.arange(b + 1) if read is None else np.r_[0, np.cumsum(read.sum(axis=1))]  # where row i's outputs start
     outs = None
     for lo, hi in zip(bounds, bounds[1:]):
         res = _forward(params, tokens[lo:hi], pad_mask[lo:hi], upto_layer, None, None if read is None else read[lo:hi])
         parts = [*res.hidden_states, res.logits]
         if outs is None:  # only the outputs the chunk filled
-            outs = [None if t is None else np.empty((b, *t.shape[1:]), t.dtype) for t in parts]
+            outs = [None if t is None else np.empty((at[-1], *t.shape[1:]), t.dtype) for t in parts]
         for out, t in zip(outs, parts):
             if t is not None:
-                out[lo:hi] = t.data
+                out[at[lo] : at[hi]] = t.data
         del res, parts, t  # the chunk's outputs, before the next chunk runs
     outs = [None if a is None else Tensor(a) for a in outs]
     return ForwardResult(outs[:-1], outs[-1])
@@ -265,8 +267,8 @@ def _live_rows(pad_mask: np.ndarray, read: np.ndarray, n_blocks: int) -> tuple[n
     through n_blocks causal blocks; it is top itself when that adds none.
     Graph-free, a set of one position in a batch of more is that position
     twice, since a one-row product (a gemv) rounds differently from the same
-    row in a larger one. A recorded forward keeps it once, so that no copy
-    takes a gradient.
+    row in a larger one; _forward returns it once. A recorded forward keeps
+    it once, so that no copy takes a gradient.
     """
 
     def rows(mask):
@@ -279,24 +281,17 @@ def _live_rows(pad_mask: np.ndarray, read: np.ndarray, n_blocks: int) -> tuple[n
     return (top, top) if np.array_equal(live, top) else (live, top)
 
 
-def _spread(x: Tensor, rows: np.ndarray, shape: tuple) -> Tensor:
-    """x's rows at flat positions `rows` of a zero array of the given shape;
-    its backward gathers those rows."""
-    out = np.zeros(shape, x.dtype)
-    out.reshape(-1, shape[-1])[rows] = x.data
-    return T.apply_op("spread", out, (x,), lambda g: (g.reshape(-1, shape[-1])[rows],))
-
-
 def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, cache, read) -> ForwardResult:
     """The blocks of forward() over arguments it has checked, in one piece.
 
     With `read`, the residual stream holds the live rows only, and in the
-    last block only the read rows continue past attention (see _live_rows).
-    T.attention takes the live rows packed, with their flat positions, and
-    returns the rows that go on; it runs over every position, with zero
-    queries, keys and values where a row was skipped (a masked key weighs
-    exactly 0), in layouts that only its own products hold. Each product
-    adds its bias itself, so every recorded value is on the tape once.
+    last block only the read rows continue past attention (see _live_rows),
+    so that it ends holding the rows forward() returns. T.attention takes
+    the live rows packed, with their flat positions, and returns the rows
+    that go on; it runs over every position, with zero queries, keys and
+    values where a row was skipped (a masked key weighs exactly 0), in
+    layouts that only its own products hold. Each product adds its bias
+    itself, so every recorded value is on the tape once.
     """
     cfg = params.config
     b, s = tokens.shape
@@ -310,24 +305,20 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
         pos_ids = np.broadcast_to(np.arange(past, past + s), (b, s))
         attn_bias = _attention_bias(key_valid, s, params.dtype)
     if read is None:
-        live = top = held = None
+        live = top = None
         emb = T.add(T.embedding(params["tok_emb"], tokens), T.embedding(params["pos_emb"], pos_ids))
         x = T.reshape(emb, (b * s, d))  # the residual stream, one row per position
     else:
         live, top = _live_rows(pad_mask, read, n_blocks)
-        held = live  # the positions whose rows x holds
         tok, pos = tokens.reshape(-1)[live], pos_ids.reshape(-1)[live]
         x = T.add(T.embedding(params["tok_emb"], tok), T.embedding(params["pos_emb"], pos))
-
-    def layer_out(x):  # [b, s, d]; zeros outside the read positions when pruned
-        if held is None:
-            return T.reshape(x, (b, s, d))
-        return _spread(x if held is top else T.gather_rows(x, np.searchsorted(live, top)), top, (b, s, d))
 
     def linear(x, w, bias):  # x @ w + bias over the rows x holds
         return T.matmul(x, params[p + w], params[p + bias])
 
-    hidden = [(emb if read is None else layer_out(x)) if upto_layer in (None, 0) else None]
+    every = read is None and upto_layer is None  # a full forward returns every layer
+    hidden = [emb if every else None]
+    keep = live
     for i in range(n_blocks):
         p = f"blocks.{i}."
         a = T.layer_norm(x, params[p + "ln1.gain"], params[p + "ln1.bias"], LN_EPS)
@@ -337,24 +328,27 @@ def _forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto
             cache.values[i][:, past : past + s] = v.data.reshape(b, s, d)
             k = Tensor(cache.keys[i][:, : past + s])
             v = Tensor(cache.values[i][:, : past + s])
-        if held is not None and i == n_blocks - 1:  # only the read rows continue
-            x, held = x if live is top else T.gather_rows(x, np.searchsorted(live, top)), top
-        ctx = T.attention(q, k, v, attn_bias, h, rows=live, keep=held)  # dense when live is None
+        if i == n_blocks - 1 and live is not top:  # only the read rows continue
+            x, keep = T.gather_rows(x, np.searchsorted(live, top)), top
+        ctx = T.attention(q, k, v, attn_bias, h, rows=live, keep=keep)  # dense when live is None
         x = T.add(x, linear(ctx, "attn.wo", "attn.bo"))
 
         m = T.layer_norm(x, params[p + "ln2.gain"], params[p + "ln2.bias"], LN_EPS)
         x = T.add(x, linear(T.gelu(linear(m, "mlp.w1", "mlp.b1")), "mlp.w2", "mlp.b2"))
-        hidden.append(layer_out(x) if upto_layer in (None, i + 1) else None)
+        hidden.append(T.reshape(x, (b, s, d)) if every else None)
 
     if cache is not None:
         cache.length = past + s
-    if upto_layer is not None:
-        return ForwardResult(hidden_states=hidden, logits=None)
-    fin = T.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-    logits = T.matmul(fin, params["out_proj"])
-    shape = (b, s, cfg.vocab_size)
-    logits = T.reshape(logits, shape) if held is None else _spread(logits, top, shape)
-    return ForwardResult(hidden_states=hidden, logits=logits)
+    if upto_layer is None:
+        fin = T.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
+        x = T.matmul(fin, params["out_proj"])  # the logits
+    if read is None:
+        x = T.reshape(x, (b, s, x.shape[-1]))
+    elif top.size == 2 and top[0] == top[1]:  # a graph-free lone read position, held twice
+        x = Tensor(x.data[1:])
+    if upto_layer is not None:  # the top output is that layer's, not the logits
+        hidden[upto_layer], x = x, None
+    return ForwardResult(hidden, x)
 
 
 def sequence_nll(
@@ -368,9 +362,8 @@ def sequence_nll(
     loss_mask marks the *predicting* positions: a marked t scores
     logits[t] against tokens[t+1]. Returns (loss, n_scored); an all-false
     mask raises ShapeError (`CifSample.from_json` rejects a record that
-    scores nothing). The final layer norm and the output projection run on
-    the marked rows only, and the forward computes only the positions they
-    depend on.
+    scores nothing). The forward reads the marked positions alone, so it
+    computes only what their logits depend on.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     loss_mask = np.asarray(loss_mask, dtype=bool)
@@ -381,9 +374,6 @@ def sequence_nll(
     if not loss_mask.any():
         raise ShapeError("sequence_nll: loss_mask marks no position to score")
 
-    top = forward(params, tokens, pad_mask, upto_layer=params.config.n_layers, read=loss_mask).hidden_states[-1]
+    logits = forward(params, tokens, pad_mask, read=loss_mask).logits
     rows = np.flatnonzero(loss_mask)  # no row's last position, so rows + 1 is the next token
-    fin = T.layer_norm(T.gather_rows(top, rows), params["final_ln.gain"], params["final_ln.bias"], LN_EPS)
-    logits = T.matmul(fin, params["out_proj"])
     return T.cross_entropy_rows(logits, tokens.reshape(-1)[rows + 1]), len(rows)
-

@@ -57,49 +57,52 @@ def pool(hidden: Tensor, pad_mask: np.ndarray, method: str, layer: int = 0) -> P
 
     mean/max run over valid (unpadded) positions; last_token takes the
     representation at the final valid position. A row with no valid position
-    is a data error.
+    is a data error. hidden may instead hold the rows at
+    pooled_positions(pad_mask, method) packed, as a forward given that
+    `read` returns them: pool lays them out in zeros for its reduction.
     """
-    if hidden.data.ndim != 3:
-        raise ShapeError(f"pool: expected [batch, seq, d], got {hidden.shape}")
-    b, s, d = hidden.shape
+    if method not in POOLING_METHODS:
+        raise UsageError(f"unknown pooling method {method!r}")
     pad_mask = np.asarray(pad_mask, dtype=bool)
+    packed = hidden.data.ndim == 2 and pad_mask.ndim == 2
+    if not packed and hidden.data.ndim != 3:
+        raise ShapeError(f"pool: expected [batch, seq, d] or packed [n, d], got {hidden.shape}")
+    d = hidden.shape[-1]
+    b, s = pad_mask.shape if packed else hidden.shape[:2]
     if pad_mask.shape != (b, s):
         raise ShapeError(f"pool: pad_mask {pad_mask.shape} vs hidden {(b, s)}")
     counts = pad_mask.sum(axis=1)
     if (counts == 0).any():
         raise DataError(f"pool: row {int(np.argmin(counts))} has no valid positions")
 
+    x, read = hidden.data, None
+    if packed:
+        read = np.flatnonzero(pooled_positions(pad_mask, method))
+        if hidden.shape[0] != read.size:
+            raise ShapeError(f"pool: {hidden.shape[0]} packed rows but {method} pooling reads {read.size}")
+        x = np.zeros((b * s, d), hidden.dtype)
+        x[read] = hidden.data
+        x = x.reshape(b, s, d)
+
+    def unpack(gx):  # the gradient of hidden from the one of x
+        return (gx if read is None else gx.reshape(b * s, d)[read],)
+
     if method == "mean":
         w = (pad_mask / counts[:, None]).astype(hidden.dtype)
-        out = (hidden.data * w[:, :, None]).sum(axis=1)
-        vectors = apply_op(
-            "pool_mean", out, (hidden,), lambda g: (g[:, None, :] * w[:, :, None],)
-        )
-    elif method == "max":
-        masked = np.where(pad_mask[:, :, None], hidden.data, -np.inf)
-        arg = masked.argmax(axis=1)  # [b, d], first max wins ties
-        rows = np.arange(b)[:, None]
-        out = hidden.data[rows, arg, np.arange(d)[None, :]]
+        out = (x * w[:, :, None]).sum(axis=1)
+        vectors = apply_op("pool_mean", out, (hidden,), lambda g: unpack(g[:, None, :] * w[:, :, None]))
+    else:  # max and last_token pick one entry of x for each output entry
+        if method == "max":  # the first max wins ties
+            at = (np.arange(b)[:, None], np.where(pad_mask[:, :, None], x, -np.inf).argmax(axis=1), np.arange(d))
+        else:
+            at = (np.arange(b), _last_valid(pad_mask))
 
-        def bwd_max(g):
-            gx = np.zeros_like(hidden.data)
-            np.add.at(gx, (rows, arg, np.arange(d)[None, :]), g)
-            return (gx,)
+        def bwd(g):
+            gx = np.zeros_like(x)
+            gx[at] = g
+            return unpack(gx)
 
-        vectors = apply_op("pool_max", out, (hidden,), bwd_max)
-    elif method == "last_token":
-        last = _last_valid(pad_mask)
-        rows = np.arange(b)
-        out = hidden.data[rows, last]
-
-        def bwd_last(g):
-            gx = np.zeros_like(hidden.data)
-            gx[rows, last] = g
-            return (gx,)
-
-        vectors = apply_op("pool_last", out, (hidden,), bwd_last)
-    else:
-        raise UsageError(f"unknown pooling method {method!r}")
+        vectors = apply_op("pool_max" if method == "max" else "pool_last", x[at], (hidden,), bwd)
     return PooledBatch(vectors=vectors, method=method, layer=layer)
 
 

@@ -581,6 +581,13 @@ class TestGradcheckCommand:
             assert name in out
         assert "worst rel err" in out
 
+    @pytest.mark.parametrize("args", [["--seeds", "0"], ["--seeds", "-3"], ["--coords", "0"]])
+    def test_a_check_of_nothing_is_a_usage_error(self, capsys, args):
+        assert run_cli(["gradcheck", *args]) == 2
+        captured = capsys.readouterr()
+        assert "at least 1 seed and 1 coordinate" in captured.err
+        assert "[ok]" not in captured.out
+
     def test_corrupted_backward_rule_fails(self, monkeypatch, capsys):
         import afp.tensor
         from afp.tensor import apply_op

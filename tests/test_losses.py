@@ -6,6 +6,7 @@ import pytest
 
 from afp import corpus as C
 from afp import losses
+from afp import model as M
 from afp.config import RunConfig, TrainConfig
 from afp.errors import UsageError
 from afp.gradcheck import grad_error
@@ -226,12 +227,22 @@ class TestAfpLoss:
         pair_batch, cif_batch = C.collate_pairs(corpus.train_pairs[:32]), C.collate_cif(corpus.train_cif[:32])
         return cfg, lambda: afp_loss(params, pair_batch, cif_batch, cfg.train)
 
-    def test_desk_tape_op_sequence(self):
+    def test_desk_tape_op_sequence(self, monkeypatch):
         """The ops a desk training step records. Each forward holds only the
         rows its loss reads: attention takes the live rows packed and returns
         the rows that go on, and each product adds its bias itself; in the
         last block only the read rows go on (mean pooling reads every live
-        row)."""
+        row). Each forward returns its top output alone, packed, for pool or
+        the cross-entropy to read."""
+        results = []
+        real = M.forward
+
+        def kept_forward(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(M, "forward", kept_forward)
+        monkeypatch.setattr(losses, "forward", kept_forward)
         cfg, step = self.desk_step()
         with Graph() as g:
             step()
@@ -241,15 +252,17 @@ class TestAfpLoss:
                     "layer_norm", "matmul", "gelu", "matmul", "add"]
 
         def forward_ops(n_blocks, gather_x):
-            return ["embedding", "embedding", "add", *block(False) * (n_blocks - 1), *block(gather_x), "spread"]
+            return ["embedding", "embedding", "add", *block(False) * (n_blocks - 1), *block(gather_x)]
 
         assert cfg.train.pooling == "mean"
         side = [*forward_ops(cfg.train.align_layer, False), "pool_mean"]
         mcl = ["l2_normalize_rows", "l2_normalize_rows", "permute", "matmul", "scale", "cross_entropy_rows"]
-        cif = [*forward_ops(cfg.model.n_layers, True), "gather_rows", "layer_norm", "matmul", "cross_entropy_rows"]
+        cif = [*forward_ops(cfg.model.n_layers, True), "layer_norm", "matmul", "cross_entropy_rows"]
         want = [*side, *side, *mcl, *cif, "scale", "add"]
         assert [n.op for n in g.nodes] == want
-        assert len(want) == 99
+        assert len(want) == 95
+        assert len(results) == 3
+        assert all(sum(t is not None for t in [*res.hidden_states, res.logits]) == 1 for res in results)
 
     def test_desk_tape_holds_at_most_17_mib(self):
         """Traced numpy memory held after a desk afp_loss forward, the tape

@@ -367,10 +367,11 @@ class TestReadPositions:
         for layer in [*range(cfg.n_layers + 1), None]:
             got = forward(params, tokens, pad, upto_layer=layer, read=read)
             want = unchunked_forward(monkeypatch, params, tokens, pad, upto_layer=layer)
-            for g, w in filled_outputs(got, want):
-                rows = g.reshape(-1, g.shape[-1])
-                assert same_or_close(rows[idx], T.gather_rows(Tensor(w), idx).data, exact), layer
-                assert not rows[~read.reshape(-1)].any()  # zeros outside the read positions
+            outs = [*got.hidden_states, got.logits]
+            top = len(outs) - 1 if layer is None else layer
+            assert [i for i, t in enumerate(outs) if t is not None] == [top]  # the top output alone, packed
+            full = want.logits if layer is None else want.hidden_states[layer]
+            assert same_or_close(outs[top].data, T.gather_rows(full, idx).data, exact), layer
 
     @pytest.mark.parametrize("s, valid", [(10, 7), (1, 1)])
     def test_one_read_position_runs_no_one_row_product(self, monkeypatch, s, valid):
@@ -387,8 +388,8 @@ class TestReadPositions:
         got = forward(params, tokens, pad, read=read)
         # a gemv (a product of one row) rounds differently, unless the full forward runs one too
         assert min(products) == min(s, 2)
-        for g, w in filled_outputs(got, full):
-            assert np.array_equal(g[0, valid - 1], w[0, valid - 1])
+        assert got.logits.shape == (1, cfg.vocab_size)  # the lone read row, returned once
+        assert np.array_equal(got.logits.data[0], full.logits.data[0, valid - 1])
 
     # the desk training config, and the MCL-only one of the benchmark's train_mcl_deep workload
     TRAIN_CONFIGS = {
@@ -416,8 +417,15 @@ class TestReadPositions:
 
         real = M.forward
 
-        def full_forward(*args, read=None, **kwargs):
-            return real(*args, **kwargs)
+        def full_forward(*args, read=None, **kwargs):  # every position, then the read rows of the top output
+            res = real(*args, **kwargs)
+            if read is None:
+                return res
+            idx = np.flatnonzero(read)
+            if res.logits is not None:
+                return M.ForwardResult([None] * len(res.hidden_states), T.gather_rows(res.logits, idx))
+            res.hidden_states[-1] = T.gather_rows(res.hidden_states[-1], idx)
+            return res
 
         for k in range(4):
             pairs = C.collate_pairs(desk_corpus.train_pairs[k * tcfg.mcl_batch : (k + 1) * tcfg.mcl_batch])
@@ -457,7 +465,8 @@ class TestReadPositions:
                     t.grad = None
                 with Graph() as g:
                     res = forward(params, tokens, pad, upto_layer=layer, read=r)
-                    picked = T.gather_rows(res.logits if layer is None else res.hidden_states[layer], [valid - 1])
+                    out = res.logits if layer is None else res.hidden_states[layer]
+                    picked = T.gather_rows(out, [valid - 1] if r is None else [0])  # the packed read row
                     loss = T.sum_all(T.mul(picked, weights))
                 T.backward(g, loss)
                 grads.append({name: t.grad for name, t in params.named()})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import afp.represent as R
-from afp.errors import DataError, NumericError, UsageError
+from afp.errors import DataError, NumericError, ShapeError, UsageError
 from afp.rng import stream
 from afp.tensor import Graph, Tensor, backward, sum_all, mul
 
@@ -47,18 +47,57 @@ class TestPool:
         with pytest.raises(UsageError):
             R.pool(self.HIDDEN, np.array([[True, True]]), "median")
 
-    @pytest.mark.parametrize("method", R.POOLING_METHODS)
-    def test_pool_is_differentiable(self, method):
+    @pytest.mark.parametrize(
+        "method, packed",
+        [(m, False) for m in R.POOLING_METHODS] + [(m, True) for m in R.POOLING_METHODS],
+        ids=[*R.POOLING_METHODS, *(f"packed-{m}" for m in R.POOLING_METHODS)],
+    )
+    def test_pool_is_differentiable(self, method, packed):
         rng = stream(3, "pool", method)
-        h = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True)
+        data = rng.standard_normal((3, 4, 5))
         pad = np.ones((3, 4), dtype=bool)
         pad[1, 2:] = False
+        if packed:
+            data = data.reshape(-1, 5)[np.flatnonzero(R.pooled_positions(pad, method))]
+        h = Tensor(data, requires_grad=True)
         with Graph() as g:
             out = R.pool(h, pad, method)
             root = sum_all(mul(out.vectors, out.vectors))
             backward(g, root)
-        assert h.grad is not None
-        assert not h.grad[1, 2:].any()  # padded positions get no gradient
+        assert h.grad is not None and h.grad.shape == h.shape
+        if not packed:
+            assert not h.grad[1, 2:].any()  # padded positions get no gradient
+
+    # ragged rows: full, one position, right-padded, left- and right-padded
+    RAGGED_PAD = np.array([[1, 1, 1, 1, 1], [1, 0, 0, 0, 0], [1, 1, 1, 0, 0], [0, 1, 1, 0, 0]], dtype=bool)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("method", R.POOLING_METHODS)
+    def test_packed_rows_pool_like_the_full_layout(self, method, dtype):
+        """The rows at pooled_positions, packed, give the bytes of the
+        [batch, seq, d] input, vectors and the gradient at those rows alike;
+        the full input holds noise, not zeros, where pool does not read."""
+        pad = self.RAGGED_PAD
+        rng = stream(6, "packed", method)
+        full = rng.standard_normal((*pad.shape, 6)).astype(dtype)
+        weights = Tensor(rng.standard_normal((len(pad), 6)).astype(dtype))
+        idx = np.flatnonzero(R.pooled_positions(pad, method))
+        got = []
+        for data in (full, full.reshape(-1, 6)[idx]):
+            h = Tensor(data, requires_grad=True)
+            with Graph() as g:
+                out = R.pool(h, pad, method)
+                backward(g, sum_all(mul(out.vectors, weights)))
+            got.append((out.array, h.grad.reshape(-1, 6)[idx] if h.grad.ndim == 3 else h.grad))
+        (vec_full, grad_full), (vec_packed, grad_packed) = got
+        assert vec_packed.dtype == dtype and vec_packed.tobytes() == vec_full.tobytes()
+        assert grad_packed.dtype == dtype and grad_packed.tobytes() == grad_full.tobytes()
+
+    @pytest.mark.parametrize("method, n", [("mean", 3), ("mean", 1), ("last_token", 2)])
+    def test_packed_row_count_must_match_the_pooled_positions(self, method, n):
+        pad = np.array([[True, True, False]])
+        with pytest.raises(ShapeError, match="packed"):
+            R.pool(Tensor(np.zeros((n, 2))), pad, method)
 
 
 class TestCosine:
