@@ -16,6 +16,7 @@ from . import corpus as C
 from .errors import ShapeError, UsageError
 from .model import KVCache, ModelParams, forward
 from .rng import stream
+from .workers import fan_out
 
 
 @dataclass
@@ -201,13 +202,13 @@ def classification_eval(
 ) -> EvalResult:
     """Accuracy over n fresh queries with template.k demonstrations drawn
     from a disjoint stream. `scorer(prompt, candidates) -> (index, loglikes)`
-    defaults to model scoring. n < 1, or a prompt that cannot fit
-    max_seq_len with its longest candidate, raises UsageError; every prompt
-    is built and checked before the first is scored."""
+    defaults to model scoring, which `fan_out` spreads over worker
+    processes; a caller's scorer runs in this process, in query order.
+    n < 1, or a prompt that cannot fit max_seq_len with its longest
+    candidate, raises UsageError; every prompt is built and checked before
+    the first is scored."""
     if n < 1:
         raise UsageError(f"classification needs at least one query, got n={n}")
-    if scorer is None:
-        scorer = lambda prompt, cands: score_candidates(params, prompt, cands)
     demo_rng = stream(seed, "demos")
     query_rng = stream(seed, "queries")
     labels = template.labels
@@ -225,10 +226,14 @@ def classification_eval(
                 f"lower eval.k_shot ({template.k})"
             )
         queries.append((prompt, label))
+    prompts = [prompt for prompt, _ in queries]
+    if scorer is None:
+        scored = fan_out(lambda prompt: score_candidates(params, prompt, candidates), prompts)
+    else:
+        scored = [scorer(prompt, candidates) for prompt in prompts]
     hits = 0
     records = []
-    for i, (prompt, label) in enumerate(queries):
-        chosen, scores = scorer(prompt, candidates)
+    for i, ((_, label), (chosen, scores)) in enumerate(zip(queries, scored)):
         ok = labels[chosen] == label
         hits += ok
         records.append({"index": i, "label": label, "chosen": int(chosen), "loglik": list(map(float, scores))})
@@ -265,13 +270,13 @@ def translation_eval(
     for n < 1, for max_new_tokens below the longest sentence (a reference
     is as long as its source), or for a prompt that leaves fewer positions
     than its reference needs; every prompt is built and checked before the
-    first is decoded.
+    first is decoded. The default greedy decodes fan out over worker
+    processes (`fan_out`); a caller's generate_fn runs in this process, in
+    example order.
     """
     if n < 1:
         raise UsageError(f"translation needs at least one example, got n={n}")
     check_max_new_tokens(max_new_tokens, family.length_bounds[1])
-    if generate_fn is None:
-        generate_fn = lambda prompt: greedy_decode(params, prompt, max_new_tokens, stop_token=C.SEP)
     rng = stream(seed, "translation")
     examples = []
     for _ in range(n):
@@ -288,16 +293,17 @@ def translation_eval(
                 f"max_seq_len {params.config.max_seq_len}; lower eval.k_shot ({k_shot})"
             )
         examples.append((src, ref, prompt))
-    hyps, refs, records = [], [], []
-    exact = 0
-    for i, (src, ref, prompt) in enumerate(examples):
-        hyp = list(generate_fn(prompt))
-        hyps.append(hyp)
-        refs.append(ref)
-        ok = hyp == ref
-        exact += ok
-        records.append({"index": i, "src": src, "ref": ref, "hyp": hyp, "exact": bool(ok)})
-    score = exact / n
+    prompts = [prompt for _, _, prompt in examples]
+    if generate_fn is None:
+        hyps = fan_out(lambda prompt: greedy_decode(params, prompt, max_new_tokens, stop_token=C.SEP), prompts)
+    else:
+        hyps = [list(generate_fn(prompt)) for prompt in prompts]
+    refs = [ref for _, ref, _ in examples]
+    records = [
+        {"index": i, "src": src, "ref": ref, "hyp": hyp, "exact": hyp == ref}
+        for i, ((src, ref, _), hyp) in enumerate(zip(examples, hyps))
+    ]
+    score = sum(r["exact"] for r in records) / n
     return EvalResult(
         task="translation",
         n=n,

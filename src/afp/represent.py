@@ -59,7 +59,8 @@ def pool(hidden: Tensor, pad_mask: np.ndarray, method: str, layer: int = 0) -> P
     representation at the final valid position. A row with no valid position
     is a data error. hidden may instead hold the rows at
     pooled_positions(pad_mask, method) packed, as a forward given that
-    `read` returns them: pool lays them out in zeros for its reduction.
+    `read` returns them: for last_token those rows are the vectors as they
+    are, and mean and max lay them out in zeros for their reduction.
     """
     if method not in POOLING_METHODS:
         raise UsageError(f"unknown pooling method {method!r}")
@@ -80,6 +81,8 @@ def pool(hidden: Tensor, pad_mask: np.ndarray, method: str, layer: int = 0) -> P
         read = np.flatnonzero(pooled_positions(pad_mask, method))
         if hidden.shape[0] != read.size:
             raise ShapeError(f"pool: {hidden.shape[0]} packed rows but {method} pooling reads {read.size}")
+        if method == "last_token":  # one read row per batch row, in row order: they are the vectors
+            return PooledBatch(vectors=apply_op("pool_last", x, (hidden,), lambda g: (g,)), method=method, layer=layer)
         x = np.zeros((b * s, d), hidden.dtype)
         x[read] = hidden.data
         x = x.reshape(b, s, d)

@@ -20,6 +20,7 @@ from .optim import OptState, adamw_step, init_opt_state
 from .represent import POOLING_METHODS, alignment_metric, pool, retrieval_acc_at_1, uniformity_metric
 from .rng import stream
 from .tensor import Graph, backward
+from .workers import fan_out
 
 
 @dataclass
@@ -278,6 +279,9 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
 
     Rows carry the final AlignReport metrics, a quick translation score, and
     the data audits (language-combination count, target==source fraction).
+    The points fan out over worker processes (`fan_out`): rows, and their
+    log lines, come in grid order as soon as every earlier point is done,
+    and a failing point raises what a serial run would raise.
     """
     if grid is None:
         grid = default_grid(kind, base_config.model)
@@ -291,8 +295,8 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
                 raise UsageError(f"unknown language {lang!r}: corpus.languages are {cfg.corpus.languages}")
     for cfg in configs:
         check_corpus(generate_corpus(cfg), cfg)
-    rows = []
-    for value, cfg in zip(grid, configs):
+
+    def point(value, cfg) -> dict:
         corpus = generate_corpus(cfg)
         result = train(cfg.model, cfg.train, corpus, seed=cfg.seed)
         final = result.reports[-1]  # train always reports at its final step
@@ -310,7 +314,7 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
             seed=cfg.seed,
             task=cfg.corpus.task,
         )
-        row = {
+        return {
             "kind": kind,
             "value": value,
             "step": final.step,
@@ -325,10 +329,12 @@ def ablation_sweep(kind: str, grid, base_config: RunConfig, log=None) -> list[di
             "n_lang_combinations": pair_audit["n_lang_combinations"],
             "target_eq_source_frac": cif_audit["target_eq_source_frac"],
         }
-        rows.append(row)
+
+    def each(row) -> None:
         if log is not None:
-            log(f"sweep {kind}={value}: " + json.dumps(row, default=float))
-    return rows
+            log(f"sweep {kind}={row['value']}: " + json.dumps(row, default=float))
+
+    return fan_out(lambda args: point(*args), list(zip(grid, configs)), each)
 
 
 def write_reports(path, reports: list[AlignReport]) -> None:

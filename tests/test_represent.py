@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,25 @@ class TestPool:
         (vec_full, grad_full), (vec_packed, grad_packed) = got
         assert vec_packed.dtype == dtype and vec_packed.tobytes() == vec_full.tobytes()
         assert grad_packed.dtype == dtype and grad_packed.tobytes() == grad_full.tobytes()
+
+    def test_packed_last_token_builds_no_full_layout(self):
+        """512 packed last_token rows are the vectors: pooling them and the
+        backward stay below one [batch, seq, d] layout of memory."""
+        b, s, d = 512, 16, 64
+        pad = np.ones((b, s), dtype=bool)
+        pad[::3, 9:] = False
+        h = Tensor(stream(8, "last").standard_normal((b, d)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Graph() as g:
+                out = R.pool(h, pad, "last_token")
+                backward(g, sum_all(out.vectors))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.array.tobytes() == h.data.tobytes()
+        assert h.grad.tobytes() == np.ones((b, d), np.float32).tobytes()
+        assert peak < b * s * d * 4, peak
 
     @pytest.mark.parametrize("method, n", [("mean", 3), ("mean", 1), ("last_token", 2)])
     def test_packed_row_count_must_match_the_pooled_positions(self, method, n):
