@@ -39,3 +39,7 @@ class TrainingError(AfpError):
 
 class CheckpointError(AfpError):
     """A checkpoint or corpus file is corrupt or unreadable."""
+
+
+class WorkerError(AfpError):
+    """A worker process ended without sending what its caller waits for."""

@@ -14,7 +14,7 @@ from .corpus import PairBatch, TokenBatch
 from .errors import UsageError
 from .model import ModelParams, forward, sequence_nll
 from .represent import PooledBatch, pool, pooled_positions
-from .tensor import Tensor
+from .tensor import Graph, Tensor, backward
 
 
 def _infonce(anchors: Tensor, positives: Tensor, tau: float) -> Tensor:
@@ -43,10 +43,52 @@ def mcl_loss(h: PooledBatch, h_plus: PooledBatch, tau: float, symmetric: bool = 
     return loss
 
 
-def cif_loss(params: ModelParams, batch: TokenBatch) -> tuple[Tensor, int]:
+def cif_loss(params: ModelParams, batch: TokenBatch, divisor: int | None = None) -> tuple[Tensor, int]:
     """Next-token NLL over the batch's masked predictions; identical to
-    sequence_nll on the same matrices."""
-    return sequence_nll(params, batch.tokens, batch.loss_mask, batch.pad_mask)
+    sequence_nll on the same matrices (divisor included)."""
+    return sequence_nll(params, batch.tokens, batch.loss_mask, batch.pad_mask, divisor)
+
+
+def cif_halves(batch: TokenBatch) -> tuple[TokenBatch, TokenBatch | None]:
+    """The two fixed CIF shards of a batch: its first ceil(n/2) rows, then
+    the rest (None for a one-row batch)."""
+    half = (len(batch.tokens) + 1) // 2
+    first, second = (
+        TokenBatch(batch.tokens[rows], batch.pad_mask[rows], batch.loss_mask[rows])
+        for rows in (slice(None, half), slice(half, None))
+    )
+    return first, (second if len(second.tokens) else None)
+
+
+def cif_shard(params: ModelParams, shard: TokenBatch, divisor: int):
+    """A generator over one CIF shard on a tape of its own, divided by the
+    whole batch's count of scored positions: it yields the loss value, then
+    the gradient of every parameter in params.named() order (None where one
+    has none), or None in their place for a non-finite value."""
+    leaves = [t for _, t in params.named()]
+    with Graph() as g:
+        loss = cif_loss(params, shard, divisor)[0]
+    yield loss.data
+    if not np.isfinite(loss.data):
+        yield None
+        return
+    backward(g, loss)
+    grads = [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    yield grads
+
+
+def in_process(params: ModelParams, shard: TokenBatch, divisor: int):
+    """afp_loss's default second shard: cif_shard, run in this process when
+    its result is asked for."""
+
+    def finish():
+        run = cif_shard(params, shard, divisor)
+        value, grads = next(run), next(run)
+        return value, lambda: grads
+
+    return finish
 
 
 def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, pooling: str) -> PooledBatch:
@@ -56,16 +98,34 @@ def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, 
     return pool(res.hidden_states[layer], pad, pooling, layer=layer)
 
 
-def afp_loss(params: ModelParams, mcl_batch: PairBatch, cif_batch: TokenBatch, config) -> Tensor:
+def afp_loss(params: ModelParams, mcl_batch: PairBatch, cif_batch: TokenBatch, config, second_shard=in_process) -> Tensor:
     """Combined loss L_MCL + alpha * L_CIF.
 
     Anchors and positives are embedded at config.align_layer from the source
-    side of the pair batch, then from its target side, on the calling thread.
-    At alpha = 0 the loss is L_MCL alone and the CIF forward is skipped.
+    side of the pair batch, then from its target side. L_CIF is the sum of
+    the batch's two cif_halves, each divided by the whole batch's count of
+    scored positions. The first is recorded on the calling tape after MCL.
+    The second runs on a tape of its own and joins as one node recorded
+    first (T.precomputed), so its gradients are added last. The bits thus
+    depend on the fixed split alone, not on where the second shard runs.
+
+    second_shard(params, shard, divisor) is called before MCL and returns a
+    function that gives the shard's loss value and a function giving its
+    gradients, as cif_shard yields them. By default the shard runs in this
+    process, after the first one's forward; train hands it to its worker.
+    At alpha = 0 the loss is L_MCL alone and no CIF runs.
     """
+    if config.alpha != 0:
+        first, second = cif_halves(cif_batch)
+        divisor = int(cif_batch.loss_mask.sum())
+        finish = None if second is None else second_shard(params, second, divisor)
     h = embed(params, mcl_batch.src_tokens, mcl_batch.src_pad, config.align_layer, config.pooling)
     h_plus = embed(params, mcl_batch.tgt_tokens, mcl_batch.tgt_pad, config.align_layer, config.pooling)
     mcl = mcl_loss(h, h_plus, config.tau, symmetric=config.symmetric_mcl)
     if config.alpha == 0:
         return mcl
-    return T.add(mcl, T.scale(cif_loss(params, cif_batch)[0], config.alpha))
+    cif = cif_loss(params, first, divisor)[0]
+    if finish is not None:
+        value, grads = finish()
+        cif = T.add(cif, T.precomputed("cif_shard", value, tuple(t for _, t in params.named()), grads))
+    return T.add(mcl, T.scale(cif, config.alpha))

@@ -231,6 +231,20 @@ def forward(
     return _forward(params, tokens, pad_mask, upto_layer, cache, read)
 
 
+def chunk_plan(shape: tuple, read: np.ndarray | None = None) -> tuple[list, np.ndarray]:
+    """The chunks of a graph-free, cache-free forward of a [batch, seq] batch
+    (see CHUNK_POSITIONS): their row bounds, one chunk when the batch holds at
+    most CHUNK_POSITIONS positions, and at[i], where row i's outputs start
+    among the forward's output rows (its packed read rows, given read)."""
+    b, s = shape
+    rows = max(CHUNK_POSITIONS // s, 2)
+    bounds = [*range(0, b, rows), b]
+    if s == 1 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # fold a lone last position into the chunk before
+    at = np.arange(b + 1) if read is None else np.r_[0, np.cumsum(read.sum(axis=1))]
+    return bounds, at
+
+
 def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarray, upto_layer, read) -> ForwardResult:
     """_forward over chunks of whole rows (see CHUNK_POSITIONS), their
     outputs (packed read rows too) written one after another.
@@ -239,12 +253,7 @@ def _chunked_forward(params: ModelParams, tokens: np.ndarray, pad_mask: np.ndarr
     its bits in any piece of two or more rows at the default model's float32
     shapes, but not in a one-row piece (a gemv): no chunk holds one position.
     """
-    b, s = tokens.shape
-    rows = max(CHUNK_POSITIONS // s, 2)
-    bounds = [*range(0, b, rows), b]
-    if s == 1 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]  # fold a lone last position into the chunk before
-    at = np.arange(b + 1) if read is None else np.r_[0, np.cumsum(read.sum(axis=1))]  # where row i's outputs start
+    bounds, at = chunk_plan(tokens.shape, read)
     outs = None
     for lo, hi in zip(bounds, bounds[1:]):
         res = _forward(params, tokens[lo:hi], pad_mask[lo:hi], upto_layer, None, None if read is None else read[lo:hi])
@@ -356,6 +365,7 @@ def sequence_nll(
     tokens: np.ndarray,
     loss_mask: np.ndarray,
     pad_mask: np.ndarray | None = None,
+    divisor: int | None = None,
 ) -> tuple[Tensor, int]:
     """Mean next-token NLL over positions t with loss_mask[t] set.
 
@@ -363,7 +373,9 @@ def sequence_nll(
     logits[t] against tokens[t+1]. Returns (loss, n_scored); an all-false
     mask raises ShapeError (`CifSample.from_json` rejects a record that
     scores nothing). The forward reads the marked positions alone, so it
-    computes only what their logits depend on.
+    computes only what their logits depend on. Given a divisor, the summed
+    NLL is divided by it instead of n_scored: a shard of a batch is scored
+    with the whole batch's count.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     loss_mask = np.asarray(loss_mask, dtype=bool)
@@ -375,5 +387,11 @@ def sequence_nll(
         raise ShapeError("sequence_nll: loss_mask marks no position to score")
 
     logits = forward(params, tokens, pad_mask, read=loss_mask).logits
+    return read_logits_nll(logits, tokens, loss_mask, divisor), int(loss_mask.sum())
+
+
+def read_logits_nll(logits: Tensor, tokens: np.ndarray, loss_mask: np.ndarray, divisor: int | None = None) -> Tensor:
+    """sequence_nll's loss from its forward's packed read logits (read =
+    loss_mask), however they were computed."""
     rows = np.flatnonzero(loss_mask)  # no row's last position, so rows + 1 is the next token
-    return T.cross_entropy_rows(logits, tokens.reshape(-1)[rows + 1]), len(rows)
+    return T.cross_entropy_rows(logits, tokens.reshape(-1)[rows + 1], divisor)

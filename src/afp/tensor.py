@@ -498,8 +498,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int, r
     return apply_op("attention", out, (q, k, v), bwd)
 
 
-def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
-    """Mean of -log softmax(logits)[target] over every row."""
+def cross_entropy_rows(logits: Tensor, targets, divisor: int | None = None) -> Tensor:
+    """Mean of -log softmax(logits)[target] over every row; given a divisor
+    (at least the row count), their sum divided by it instead."""
     if logits.data.ndim != 2:
         raise ShapeError(f"cross_entropy_rows: expected [n, vocab], got {logits.shape}")
     n, v = logits.shape
@@ -510,19 +511,41 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
         raise ShapeError(f"cross_entropy_rows: {n} rows but {targets.shape} targets")
     if np.any((targets < 0) | (targets >= v)):
         raise IndexError(f"cross_entropy_rows: target outside [0, {v})")
+    if divisor is not None and divisor < n:
+        raise UsageError(f"cross_entropy_rows: divisor {divisor} below the {n} rows")
 
     shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
     rows = np.arange(n)
-    out = np.asarray((-logp[rows, targets]).mean(), dtype=logits.dtype)
+    nll = -logp[rows, targets]
+    out = np.asarray(nll.mean() if divisor is None else nll.sum() / divisor, dtype=logits.dtype)
+    divisor = n if divisor is None else divisor
 
     def bwd(g):
         gl = np.exp(logp)
         gl[rows, targets] -= 1.0
-        return ((g / n) * gl.astype(logits.dtype, copy=False),)
+        return ((g / divisor) * gl.astype(logits.dtype, copy=False),)
 
     return apply_op("cross_entropy_rows", out, (logits,), bwd)
+
+
+def precomputed(op: str, value: np.ndarray, leaves: tuple, grads) -> Tensor:
+    """A value computed off the active tape (on a tape of its own, or in
+    another process) from leaf tensors, as one node named op.
+
+    grads() returns d(value)/d(leaf) for each leaf, None where it has none;
+    the node's backward scales them by its output gradient. The node is
+    recorded at the start of the tape, which keeps the tape in topological
+    order since its inputs are leaves: backward reaches it last, so its
+    gradients are added after every other contribution to the leaves, and
+    grads() is called only then.
+    """
+    out = apply_op(op, value, leaves, lambda g: [None if x is None else g * x for x in grads()])
+    graph = _active()
+    if graph is not None and graph.nodes and graph.nodes[-1].out is out:
+        graph.nodes.insert(0, graph.nodes.pop())
+    return out
 
 
 def sum_all(x: Tensor) -> Tensor:

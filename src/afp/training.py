@@ -1,5 +1,6 @@
 """Training loop, per-checkpoint diagnostics, and the ablation sweep harness."""
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -8,19 +9,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corpus as C
+from . import losses
 from .atomic import atomic_write
 from .checkpoint import save_params
 from .config import RunConfig, TrainConfig
 from .errors import ConfigError, NumericError, TrainingError, UsageError
 from .evaluate import check_max_new_tokens, translation_eval
-from .losses import afp_loss, cif_loss, embed, mcl_loss
-# forward and pool are unused here; the benchmark's span tracer patches them by name.
-from .model import ModelConfig, ModelParams, forward, init_params
+from .losses import afp_loss, cif_loss, embed, in_process, mcl_loss
+from .model import ModelConfig, ModelParams, chunk_plan, forward, init_params, read_logits_nll
 from .optim import OptState, adamw_step, init_opt_state
+# pool is unused here; the benchmark's span tracer patches it by name.
 from .represent import POOLING_METHODS, alignment_metric, pool, retrieval_acc_at_1, uniformity_metric
 from .rng import stream
-from .tensor import Graph, backward
-from .workers import fan_out
+from .tensor import Graph, Tensor, backward
+from .workers import Worker, fan_out, shared_zeros, usable_cpus
 
 
 @dataclass
@@ -141,13 +143,19 @@ def heldout_metrics(params: ModelParams, corpus: CorpusHandles, tcfg: TrainConfi
     """Alignment diagnostics plus loss values on the held-out sets (no graph)."""
     check_corpus_size(corpus)
     pair_batch = C.collate_pairs(corpus.heldout_pairs)
+    return _heldout_report(params, pair_batch, tcfg, step, lambda: cif_loss(params, C.collate_cif(corpus.heldout_cif))[0])
+
+
+def _heldout_report(params, pair_batch, tcfg: TrainConfig, step: int, cif) -> AlignReport:
+    """heldout_metrics on a collated pair batch; cif() gives the held-out CIF
+    loss, once the pairs are embedded."""
     h = embed(params, pair_batch.src_tokens, pair_batch.src_pad, tcfg.align_layer, tcfg.pooling)
     h_plus = embed(params, pair_batch.tgt_tokens, pair_batch.tgt_pad, tcfg.align_layer, tcfg.pooling)
     pairs = list(zip(h.array, h_plus.array))
     points = np.concatenate([h.array, h_plus.array], axis=0)
 
     mcl = mcl_loss(h, h_plus, tcfg.tau, symmetric=tcfg.symmetric_mcl).item()
-    cif = cif_loss(params, C.collate_cif(corpus.heldout_cif))[0].item()
+    cif = cif().item()
     return AlignReport(
         step=step,
         l_align=alignment_metric(pairs),
@@ -157,6 +165,98 @@ def heldout_metrics(params: ModelParams, corpus: CorpusHandles, tcfg: TrainConfi
         cif_loss=cif,
         afp_loss=mcl + tcfg.alpha * cif,
     )
+
+
+class _Helper:
+    """train()'s worker (afp.workers.Worker) and what it shares with it.
+
+    Made before the fork: the parameters, moved into shared memory, which
+    AdamW updates in place; one array per parameter for the gradients of the
+    second CIF shard; and the packed logits of the held-out CIF forward
+    (model.chunk_plan), with one claim flag per chunk for each side.
+
+    At each step the worker runs afp_loss's second shard (losses.cif_shard)
+    and sends back its loss value, then, once its backward has written the
+    gradients, which parameters have one. At each eval point it takes whole
+    chunks of the held-out CIF forward from the last one down, while this
+    process embeds the held-out pairs and then takes chunks from the first
+    one up, until each side meets a chunk the other has claimed. A chunk
+    that both claim at once is computed twice, harmlessly: a chunk's rows do
+    not depend on the process that computes them, so both write the same
+    bytes, and the loss keeps the bits of heldout_metrics.
+    """
+
+    def __init__(self, params: ModelParams, heldout_cif: C.TokenBatch):
+        for _, p in params.named():
+            data = shared_zeros(p.shape, p.dtype)
+            data[...] = p.data
+            p.data = data
+        self.params, self.cif = params, heldout_cif
+        self.grads = [shared_zeros(p.shape, p.dtype) for _, p in params.named()]
+        self.bounds, self.at = chunk_plan(heldout_cif.tokens.shape, heldout_cif.loss_mask)
+        self.logits = shared_zeros((int(self.at[-1]), params.config.vocab_size), params.dtype)
+        self.claims = shared_zeros((2, len(self.bounds) - 1), np.uint8)  # [side, chunk]; side 1 is the worker's
+        self.worker = Worker(self._serve)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.worker.close()
+
+    def _serve(self, command, *args):
+        """The worker's side of a request: ("shard", shard, divisor) or ("heldout",)."""
+        if command == "heldout":
+            self._take_chunks(1)
+            yield None
+            return
+        run = losses.cif_shard(self.params, *args)
+        yield next(run)
+        grads = next(run)
+        if grads is not None:
+            for out, g in zip(self.grads, grads):
+                if g is not None:
+                    out[...] = g
+            grads = [g is not None for g in grads]
+        yield grads
+
+    def second_shard(self, params, shard, divisor):
+        """afp_loss's second_shard, run by the worker from now on on its
+        copy of params, which shares their arrays."""
+        self.worker.submit("shard", shard, divisor)
+
+        def finish():
+            value = self.worker.receive()
+
+            def grads():
+                held = self.worker.receive()
+                return [None] * len(self.grads) if held is None else [g if h else None for g, h in zip(self.grads, held)]
+
+            return value, grads
+
+        return finish
+
+    def start_heldout(self):
+        """Start the worker on the held-out CIF forward; returns a function
+        that takes this process's chunks and gives the loss."""
+        self.claims[...] = 0
+        self.worker.submit("heldout")
+        return self._finish_heldout
+
+    def _finish_heldout(self) -> Tensor:
+        self._take_chunks(0)
+        self.worker.receive()
+        return read_logits_nll(Tensor(self.logits), self.cif.tokens, self.cif.loss_mask)
+
+    def _take_chunks(self, side: int) -> None:
+        order = range(len(self.bounds) - 1)
+        for i in order if side == 0 else reversed(order):
+            if self.claims[1 - side, i]:
+                return
+            self.claims[side, i] = 1
+            lo, hi = self.bounds[i], self.bounds[i + 1]
+            rows = forward(self.params, self.cif.tokens[lo:hi], self.cif.pad_mask[lo:hi], read=self.cif.loss_mask[lo:hi])
+            self.logits[self.at[lo] : self.at[hi]] = rows.logits.data
 
 
 def train(
@@ -175,64 +275,77 @@ def train(
     parameters; checkpoints are written at eval points and at the end when
     checkpoint_dir is given. A non-finite loss aborts with the last good
     (eval-point) parameters attached to the error.
+
+    Where afp.workers.usable_cpus() allows, one worker forked per call runs
+    the second CIF shard of every step and a share of each eval point's
+    held-out CIF forward (_Helper); it is reaped before train returns or
+    raises, and the bits are those of a run without it.
     """
     check_corpus_size(corpus, train_config.mcl_batch)
     params = init_params(model_config, seed)
     opt = init_opt_state(params)
     mcl_stream = _endless(corpus.train_pairs, train_config.mcl_batch, seed + 101)
     cif_stream = _endless(corpus.train_cif, train_config.cif_batch, seed + 202)
+    held_pairs, held_cif = C.collate_pairs(corpus.heldout_pairs), C.collate_cif(corpus.heldout_cif)
 
     def write_checkpoint(tag):
         if checkpoint_dir is not None:
             os.makedirs(checkpoint_dir, exist_ok=True)
             save_params(os.path.join(checkpoint_dir, f"checkpoint_{tag}.afpt"), params)
 
-    reports = [heldout_metrics(params, corpus, train_config, step=0)]
-    write_checkpoint("step0")
-    last_good = params.copy()
-    last_good_step = 0
+    with _Helper(params, held_cif) if usable_cpus() > 1 else contextlib.nullcontext() as helper:
+        second_shard = in_process if helper is None else helper.second_shard
 
-    for step in range(1, train_config.steps + 1):
-        pair_batch = next(mcl_stream)
-        cif_batch = next(cif_stream)
-        try:
-            with Graph() as g:
-                loss = afp_loss(params, pair_batch, cif_batch, train_config)
-                value = loss.item()
-                if not np.isfinite(value):
-                    raise NumericError(f"non-finite loss {value}")
-                backward(g, loss)
-            del g, loss  # the tape, before AdamW, diagnostics and checkpoints
-            grads = {name: p.grad for name, p in params.named() if p.grad is not None}
-            adamw_step(
-                params,
-                grads,
-                opt,
-                lr=train_config.lr,
-                betas=train_config.betas,
-                weight_decay=train_config.weight_decay,
-            )
-            if step % train_config.eval_every == 0 or step == train_config.steps:
-                report = heldout_metrics(params, corpus, train_config, step=step)
-                if not all(np.isfinite(v) for v in (report.l_align, report.mcl_loss, report.cif_loss)):
-                    raise NumericError("non-finite held-out metrics")
-                reports.append(report)
-                write_checkpoint(f"step{step}")
-                last_good = params.copy()
-                last_good_step = step
-                if log is not None:
-                    r = reports[-1]
-                    log(
-                        f"step {step}: afp={r.afp_loss:.4f} mcl={r.mcl_loss:.4f} "
-                        f"cif={r.cif_loss:.4f} align={r.l_align:.4f} "
-                        f"uniform={r.l_uniform:.4f} acc@1={r.retrieval_acc_at_1:.3f}"
-                    )
-        except (NumericError, TrainingError) as exc:
-            raise TrainingError(
-                f"numeric abort at step {step}: {exc}",
-                last_good_params=last_good,
-                last_good_step=last_good_step,
-            ) from exc
+        def heldout_report(step):  # the worker, if any, starts on the CIF forward before the pairs are embedded
+            cif = (lambda: cif_loss(params, held_cif)[0]) if helper is None else helper.start_heldout()
+            return _heldout_report(params, held_pairs, train_config, step, cif)
+
+        reports = [heldout_report(0)]
+        write_checkpoint("step0")
+        last_good = params.copy()
+        last_good_step = 0
+
+        for step in range(1, train_config.steps + 1):
+            pair_batch = next(mcl_stream)
+            cif_batch = next(cif_stream)
+            try:
+                with Graph() as g:
+                    loss = afp_loss(params, pair_batch, cif_batch, train_config, second_shard)
+                    value = loss.item()
+                    if not np.isfinite(value):
+                        raise NumericError(f"non-finite loss {value}")
+                    backward(g, loss)
+                del g, loss  # the tape, before AdamW, diagnostics and checkpoints
+                grads = {name: p.grad for name, p in params.named() if p.grad is not None}
+                adamw_step(
+                    params,
+                    grads,
+                    opt,
+                    lr=train_config.lr,
+                    betas=train_config.betas,
+                    weight_decay=train_config.weight_decay,
+                )
+                if step % train_config.eval_every == 0 or step == train_config.steps:
+                    report = heldout_report(step)
+                    if not all(np.isfinite(v) for v in (report.l_align, report.mcl_loss, report.cif_loss)):
+                        raise NumericError("non-finite held-out metrics")
+                    reports.append(report)
+                    write_checkpoint(f"step{step}")
+                    last_good = params.copy()
+                    last_good_step = step
+                    if log is not None:
+                        r = reports[-1]
+                        log(
+                            f"step {step}: afp={r.afp_loss:.4f} mcl={r.mcl_loss:.4f} "
+                            f"cif={r.cif_loss:.4f} align={r.l_align:.4f} "
+                            f"uniform={r.l_uniform:.4f} acc@1={r.retrieval_acc_at_1:.3f}"
+                        )
+            except (NumericError, TrainingError) as exc:
+                raise TrainingError(
+                    f"numeric abort at step {step}: {exc}",
+                    last_good_params=last_good,
+                    last_good_step=last_good_step,
+                ) from exc
     write_checkpoint("final")
     return TrainResult(params=params, opt_state=opt, reports=reports)
 

@@ -1,5 +1,6 @@
-"""Pin BLAS to one thread before any test module imports numpy, and let the
-subprocesses that tests start import afp from this checkout.
+"""Pin BLAS to one thread before any test module imports numpy, let the
+subprocesses that tests start import afp from this checkout, and fail any
+test that leaves a child process behind.
 
 A threaded BLAS splits products by rows, so the bits of a product can depend
 on the thread count (README "Memory"); `bench/run.py` pins it the same way.
@@ -9,8 +10,22 @@ pyproject.toml puts src/ on pytest's own path; PYTHONPATH carries it to the
 
 import os
 
+import pytest
+
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A test must reap every process it starts: forked workers (afp.workers)
+    and subprocesses alike."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind ({f'pid {pid}, now reaped' if pid else 'still running'})")

@@ -233,7 +233,9 @@ class TestAfpLoss:
         the rows that go on, and each product adds its bias itself; in the
         last block only the read rows go on (mean pooling reads every live
         row). Each forward returns its top output alone, packed, for pool or
-        the cross-entropy to read."""
+        the cross-entropy to read. The CIF batch runs as two shards: the
+        first on this tape, the second on a tape of its own, joined as one
+        cif_shard node recorded first."""
         results = []
         real = M.forward
 
@@ -258,10 +260,10 @@ class TestAfpLoss:
         side = [*forward_ops(cfg.train.align_layer, False), "pool_mean"]
         mcl = ["l2_normalize_rows", "l2_normalize_rows", "permute", "matmul", "scale", "cross_entropy_rows"]
         cif = [*forward_ops(cfg.model.n_layers, True), "layer_norm", "matmul", "cross_entropy_rows"]
-        want = [*side, *side, *mcl, *cif, "scale", "add"]
+        want = ["cif_shard", *side, *side, *mcl, *cif, "add", "scale", "add"]
         assert [n.op for n in g.nodes] == want
-        assert len(want) == 95
-        assert len(results) == 3
+        assert len(want) == 97
+        assert len(results) == 4  # both pair sides and both CIF shards
         assert all(sum(t is not None for t in [*res.hidden_states, res.logits]) == 1 for res in results)
 
     def test_desk_tape_holds_at_most_17_mib(self):

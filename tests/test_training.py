@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import tracemalloc
 import weakref
 
@@ -27,6 +28,7 @@ from afp.training import (
     train,
     write_reports,
 )
+from afp.workers import shared_zeros
 
 TINY_MODEL = ModelConfig(vocab_size=33, d_model=16, n_layers=2, n_heads=2, d_ff=24, max_seq_len=32)
 
@@ -64,10 +66,12 @@ def tiny_corpus():
 
 
 def poison_third_call(monkeypatch, side):
-    """Make afp_loss's third target-side embedding ("target") or third CIF
-    loss ("cif") non-finite; returns one entry per call of that side."""
-    calls = []
+    """Make afp_loss's third target-side embedding ("target") or the loss of
+    the third step's second CIF shard ("cif") non-finite. Returns a sized
+    record of the calls of that side; the shard calls are counted in shared
+    memory, so that those run in train's forked worker count too."""
     if side == "target":
+        calls = []
         real, embeds = losses.embed, []
 
         def poisoned(*args):
@@ -80,15 +84,31 @@ def poison_third_call(monkeypatch, side):
 
         monkeypatch.setattr(losses, "embed", poisoned)
     else:
-        real = losses.cif_loss
+        calls = SharedCount()
+        real = losses.cif_shard
 
-        def poisoned(params, batch):
-            calls.append(batch)
-            loss, n = real(params, batch)
-            return (T.scale(loss, math.inf) if len(calls) == 3 else loss), n
+        def poisoned(params, shard, divisor):
+            calls.add()
+            run = real(params, shard, divisor)
+            value = next(run)
+            yield T.scale(T.Tensor(value), math.inf).data if len(calls) == 3 else value
+            yield from run
 
-        monkeypatch.setattr(losses, "cif_loss", poisoned)
+        monkeypatch.setattr(losses, "cif_shard", poisoned)
     return calls
+
+
+class SharedCount:
+    """A count that forked processes add to; len() reads it."""
+
+    def __init__(self):
+        self.count = shared_zeros((1,), np.int64)
+
+    def add(self) -> None:
+        self.count[0] += 1
+
+    def __len__(self) -> int:
+        return int(self.count[0])
 
 
 def params_equal(a, b):
@@ -179,9 +199,12 @@ class TestTrain:
         assert err.value.last_good_params is not None
         assert err.value.last_good_step >= 0
 
+    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("side", ["target", "cif"])
-    def test_checked_abort_on_either_side_retains_last_good(self, tiny_corpus, monkeypatch, side):
-        # the third step's target-side embedding or CIF loss turns inf
+    def test_checked_abort_on_either_side_retains_last_good(self, tiny_corpus, monkeypatch, side, cpus):
+        # the third step's target-side embedding or second CIF shard turns inf,
+        # with the second shard in process (1 CPU) or in train's worker (2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         poisoned = poison_third_call(monkeypatch, side)
         cfg = tiny_run_config(steps=4, eval_every=2)
         T.set_checked(True)
@@ -294,13 +317,26 @@ class TestTrain:
         pairs = C.collate_pairs(corpus.train_pairs[: cfg.train.mcl_batch])
         cif = C.collate_cif(corpus.train_cif[: cfg.train.cif_batch])
         rows = spy_rows(monkeypatch)
+        products, batch = [], [None]  # (rows, positions of the forward's batch) of each forward product
+        real_forward, spied_matmul = M._forward, T.matmul
+
+        def tagged_forward(params, tokens, *args):
+            batch[0] = tokens.size
+            try:
+                return real_forward(params, tokens, *args)
+            finally:
+                batch[0] = None
+
+        monkeypatch.setattr(M, "_forward", tagged_forward)
+        monkeypatch.setattr(T, "matmul", lambda x, *args: products.append((x.shape[0], batch[0])) or spied_matmul(x, *args))
         with Graph() as g:
             loss = losses.afp_loss(params, pairs, cif, cfg.train)
         backward(g, loss)
         assert row_totals(rows) == pruned_rows(cfg, pairs, cif)
         assert not pairs.src_pad.all() and not cif.pad_mask.all()
-        full = {pad.size for pad in (pairs.src_pad, pairs.tgt_pad, cif.pad_mask)}
-        assert not full & set(rows["matmul"])  # no product over every position of a batch
+        # no product over every position of its batch: a pair side, or one of the two CIF shards
+        assert {size for _, size in products} == {pairs.src_pad.size, pairs.tgt_pad.size, cif.pad_mask.size // 2, None}
+        assert all(n != size for n, size in products)
 
     def test_no_tape_tensor_alive_when_adamw_runs(self, tiny_corpus, monkeypatch):
         tapes, alive = [], []

@@ -1,20 +1,24 @@
 """fan_out: input order, results handed on as they come, errors, stopping on
 the earliest failure, reaping, no thread, the inline paths, and
-byte-identical eval JSON and sweep CSV whether the work fans out or not."""
+byte-identical eval JSON and sweep CSV whether the work fans out or not.
+Worker: replies in order, errors, shared memory both ways, a dead worker,
+and the one fork rule (usable_cpus) that both follow."""
 
 import os
+import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 
 import test_acceptance as acceptance
-from afp import errors, training
+from afp import errors, training, workers
 from afp import tensor as T
 from afp.config import save_config
-from afp.errors import AfpError, TrainingError
+from afp.errors import AfpError, TrainingError, WorkerError
 from afp.model import init_params
-from afp.workers import fan_out
+from afp.workers import Worker, fan_out, shared_zeros
 
 from test_cli import run_cli, ws  # noqa: F401  (ws is a fixture)
 
@@ -299,4 +303,77 @@ def test_failing_sweep_point_exits_as_a_serial_run(tmp_path, monkeypatch, capsys
     assert printed.err == "numeric abort: numeric abort at alpha 1.5\n"
     assert [line.split(":")[0] for line in printed.out.splitlines()] == ["sweep alpha=1.0"]  # the point before
     assert not out.exists()
+    assert_no_child_left()
+
+
+def test_worker_replies_in_order_and_raises_what_serve_raises(monkeypatch):
+    usable_cpus(monkeypatch, 2)
+
+    def serve(x):
+        if x == "fail":
+            raise TrainingError("bad request", last_good_step=3)
+        yield x
+        yield os.getpid(), workers.usable_cpus()
+
+    with Worker(serve) as w:
+        assert workers.usable_cpus() == 1  # no nesting while it lives
+        w.submit(1)
+        assert w.receive() == 1
+        pid, cpus = w.receive()
+        assert pid == w.pid != os.getpid() and cpus == 1
+        w.submit("fail")
+        with pytest.raises(TrainingError, match="^bad request$") as err:
+            w.receive()
+        assert err.value.last_good_step == 3
+        w.submit(2)  # it serves on after an error
+        assert w.receive() == 2
+    assert workers.usable_cpus() == 2
+    assert_no_child_left()
+
+
+def test_worker_and_caller_share_memory_both_ways():
+    seen = shared_zeros((3,), np.int64)
+
+    def serve(k):
+        seen[k] += 10
+        yield int(seen.sum())
+
+    with Worker(serve) as w:
+        seen[0] = 1
+        w.submit(1)
+        assert w.receive() == 11
+        assert seen.tolist() == [1, 10, 0]
+    assert_no_child_left()
+
+
+def test_a_dead_worker_raises_worker_error_at_once():
+    def serve(code):
+        os._exit(code)
+        yield
+
+    w = Worker(serve)
+    w.submit(3)
+    with pytest.raises(WorkerError, match="ended with status 3"):
+        w.receive()
+    w.close()  # already reaped
+    w = Worker(serve)
+    os.kill(w.pid, signal.SIGKILL)
+    os.waitid(os.P_PID, w.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
+    with pytest.raises(WorkerError, match="ended with status -9"):
+        w.submit(0)
+    assert_no_child_left()
+
+
+def test_an_error_that_does_not_pickle_comes_back_as_runtime_error():
+    class Local(Exception):  # a local class does not pickle
+        pass
+
+    def serve():
+        raise Local("local")
+        yield
+
+    with Worker(serve) as w:
+        w.submit()
+        with pytest.raises(RuntimeError, match="could not send back its error"):
+            w.receive()
     assert_no_child_left()
