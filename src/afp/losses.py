@@ -64,29 +64,32 @@ def cif_shard(params: ModelParams, shard: TokenBatch, divisor: int):
     """A generator over one CIF shard on a tape of its own, divided by the
     whole batch's count of scored positions: it yields the loss value, then
     the gradient of every parameter in params.named() order (None where one
-    has none), or None in their place for a non-finite value."""
+    has none, and for every one after a non-finite value).
+
+    The parameters' own .grad is left as it was, so the gradients may be
+    asked for in the middle of another tape's backward."""
     leaves = [t for _, t in params.named()]
     with Graph() as g:
         loss = cif_loss(params, shard, divisor)[0]
     yield loss.data
     if not np.isfinite(loss.data):
-        yield None
+        yield [None] * len(leaves)
         return
+    held = [t.grad for t in leaves]
     backward(g, loss)
     grads = [t.grad for t in leaves]
-    for t in leaves:
-        t.grad = None
+    for t, h in zip(leaves, held):
+        t.grad = h
     yield grads
 
 
 def in_process(params: ModelParams, shard: TokenBatch, divisor: int):
-    """afp_loss's default second shard: cif_shard, run in this process when
-    its result is asked for."""
+    """afp_loss's default second shard: cif_shard in this process, its
+    forward when the value is asked for, its backward when the gradients are."""
 
     def finish():
         run = cif_shard(params, shard, divisor)
-        value, grads = next(run), next(run)
-        return value, lambda: grads
+        return next(run), lambda: next(run)
 
     return finish
 
@@ -112,7 +115,8 @@ def afp_loss(params: ModelParams, mcl_batch: PairBatch, cif_batch: TokenBatch, c
     second_shard(params, shard, divisor) is called before MCL and returns a
     function that gives the shard's loss value and a function giving its
     gradients, as cif_shard yields them. By default the shard runs in this
-    process, after the first one's forward; train hands it to its worker.
+    process: its forward after the first one's, its backward when the
+    tape's backward reaches it; train hands it to its worker.
     At alpha = 0 the loss is L_MCL alone and no CIF runs.
     """
     if config.alpha != 0:

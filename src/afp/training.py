@@ -213,12 +213,10 @@ class _Helper:
         run = losses.cif_shard(self.params, *args)
         yield next(run)
         grads = next(run)
-        if grads is not None:
-            for out, g in zip(self.grads, grads):
-                if g is not None:
-                    out[...] = g
-            grads = [g is not None for g in grads]
-        yield grads
+        for out, g in zip(self.grads, grads):
+            if g is not None:
+                out[...] = g
+        yield [g is not None for g in grads]
 
     def second_shard(self, params, shard, divisor):
         """afp_loss's second_shard, run by the worker from now on on its
@@ -229,8 +227,7 @@ class _Helper:
             value = self.worker.receive()
 
             def grads():
-                held = self.worker.receive()
-                return [None] * len(self.grads) if held is None else [g if h else None for g, h in zip(self.grads, held)]
+                return [g if held else None for g, held in zip(self.grads, self.worker.receive())]
 
             return value, grads
 

@@ -15,7 +15,10 @@ A failure ends the work as a serial loop would: the items before the
 earliest failing one still finish (and reach `each`), workers left with only
 later items are killed, the caller stops its own share, and the earliest
 failing item's exception is re-raised with its type, message and
-attributes. Every worker is reaped before `fan_out` returns or raises.
+attributes; a worker that ends before sending its share counts as a
+failure of its next item, WorkerError (an AfpError, so the CLI exits 1), as
+it does for a `Worker`. Every worker is reaped before `fan_out` returns or
+raises.
 
 `usable_cpus()` is the one rule for whether to fork at all. It is 1, and
 `fan_out` runs inline as that loop (and `train` keeps its worker's share in
@@ -26,7 +29,6 @@ knob.
 """
 
 import contextlib
-import ctypes
 import math
 import mmap
 import os
@@ -43,8 +45,7 @@ from .errors import WorkerError
 from .tensor import recording
 
 _busy = False  # True while forked workers exist, in the caller and in every worker
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
-_LEN = struct.Struct("!Q")  # each frame on a worker's pipe: its byte count, then pickle((failed, value))
+_LEN = struct.Struct("!Q")  # each frame on a pipe to or from a worker: its byte count, then a pickle
 
 
 def usable_cpus() -> int:
@@ -93,7 +94,6 @@ class _Worker:
     def __init__(self, pid: int, fd: int, first: int):
         self.pid, self.fd = pid, fd
         self.next = first  # the index of the next result it sends
-        self.buf = bytearray()
 
 
 def _forked(fn, items, procs: int):
@@ -127,22 +127,18 @@ def _forked(fn, items, procs: int):
             w = workers.get(fd)
             if w is None:  # reaped by a failure read earlier in this loop
                 continue
-            chunk = os.read(fd, 1 << 20)
-            if not chunk:
+            frame = _recv(fd)
+            if frame is None:
                 status = reap(w, kill=False)
                 if w.next < len(items):
                     code = os.waitstatus_to_exitcode(status)
-                    fail(w.next, ChildProcessError(f"worker {w.pid} ended with status {code} and no result"))
+                    fail(w.next, WorkerError(f"worker {w.pid} ended with status {code} and no result"))
                 continue
-            w.buf += chunk
-            while len(w.buf) >= _LEN.size and len(w.buf) >= _LEN.size + _LEN.unpack_from(w.buf)[0]:
-                end = _LEN.size + _LEN.unpack_from(w.buf)[0]
-                failed, value = pickle.loads(w.buf[_LEN.size : end])
-                del w.buf[:end]
-                i, w.next = w.next, w.next + procs
-                if failed:
-                    fail(i, value)
-                    break
+            failed, value = frame
+            i, w.next = w.next, w.next + procs
+            if failed:
+                fail(i, value)
+            else:
                 done[i] = value
 
     _busy = True
@@ -178,26 +174,18 @@ def _forked(fn, items, procs: int):
 
 
 def _work(fn, items, first: int, procs: int, r: int, wr: int, inherited: list) -> None:
-    """A worker's whole life: its share, each result pickled into the pipe, then os._exit."""
+    """A worker's whole life: its share, each result sent into the pipe, then os._exit."""
     code = 1
     try:
         for fd in [r, *inherited]:  # the read ends of this and earlier workers' pipes are the caller's
             os.close(fd)
-        with open(wr, "wb") as pipe:
-            for i in range(first, len(items), procs):
-                try:
-                    frame = (False, fn(items[i]))
-                except Exception as exc:
-                    frame = (True, exc)
-                try:
-                    data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
-                except Exception as exc:  # an unpicklable result or exception
-                    frame = (True, RuntimeError(f"a worker could not send back its result: {exc!r}"))
-                    data = pickle.dumps(frame, pickle.HIGHEST_PROTOCOL)
-                pipe.write(_LEN.pack(len(data)) + data)
-                pipe.flush()
-                if frame[0]:
-                    break
+        for i in range(first, len(items), procs):
+            try:
+                failed, value = False, fn(items[i])
+            except Exception as exc:
+                failed, value = True, exc
+            if _reply(wr, failed, value):
+                break
         for out in (sys.stdout, sys.stderr):
             out.flush()
         code = 0
@@ -249,7 +237,7 @@ class Worker:
 
     def submit(self, *args) -> None:
         try:
-            _send(self._requests, args)
+            _write(self._requests, pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
         except BrokenPipeError:
             raise self._ended() from None
 
@@ -286,7 +274,6 @@ def _serve(serve, requests: int, replies: int, inherited: tuple) -> None:
     sent back, until the caller's end of the pipe closes; then os._exit."""
     global _busy
     _busy = True
-    _keep_freed_memory()
     code = 1
     try:
         for fd in inherited:  # the caller's ends of both pipes
@@ -294,40 +281,30 @@ def _serve(serve, requests: int, replies: int, inherited: tuple) -> None:
         while (args := _recv(requests)) is not None:
             try:
                 for value in serve(*args):
-                    _send(replies, (False, value))
+                    if _reply(replies, False, value):
+                        break
             except Exception as exc:
-                try:
-                    pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
-                except Exception as unpicklable:
-                    exc = RuntimeError(f"a worker could not send back its error: {unpicklable!r}")
-                _send(replies, (True, exc))
+                _reply(replies, True, exc)
         code = 0
     finally:
         os._exit(code)
 
 
-def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep what this process frees, in blocks up to 32 MiB.
-
-    A Worker runs the same shapes request after request. By default glibc
-    gives large freed blocks back to the system (unmapped, or trimmed off
-    the top of the heap), so each request faults their pages in again. In
-    one process on a 2-vCPU Xeon VM, a desk held-out CIF forward took 21k
-    minor faults and 89 ms this way, against none and 59 ms with this
-    setting, and a second process doing the same at the same time ran
-    1.4-1.7x slower. Called in the worker only, so the caller's allocator
-    is left as it is; without glibc's mallopt it does nothing.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is None:
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD):
-        mallopt(param, 32 << 20)
+def _reply(fd: int, failed: bool, value) -> bool:
+    """Send (failed, value) on fd, or a RuntimeError in its place where value
+    does not pickle; returns whether what was sent is a failure."""
+    try:
+        data = pickle.dumps((failed, value), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        what = "error" if failed else "result"
+        failed = True
+        data = pickle.dumps((True, RuntimeError(f"a worker could not send back its {what}: {exc!r}")), pickle.HIGHEST_PROTOCOL)
+    _write(fd, data)
+    return failed
 
 
-def _send(fd: int, obj) -> None:
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+def _write(fd: int, data: bytes) -> None:
+    """One frame on fd: the byte count of data, then data."""
     view = memoryview(_LEN.pack(len(data)) + data)
     while view:
         view = view[os.write(fd, view) :]

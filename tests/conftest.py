@@ -9,6 +9,7 @@ pyproject.toml puts src/ on pytest's own path; PYTHONPATH carries it to the
 """
 
 import os
+import signal
 
 import pytest
 
@@ -22,10 +23,30 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYT
 @pytest.fixture(autouse=True)
 def no_child_left():
     """A test must reap every process it starts: forked workers (afp.workers)
-    and subprocesses alike."""
+    and subprocesses alike. One that does not fails, and what it left is
+    killed and reaped, so that the tests after it start clean."""
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
         return
-    pytest.fail(f"the test left a child process behind ({f'pid {pid}, now reaped' if pid else 'still running'})")
+    left = [pid] if pid else []
+    for child in _children():
+        os.kill(child, signal.SIGKILL)
+        os.waitpid(child, 0)
+        left.append(child)
+    pytest.fail(f"the test left child processes behind: {left}, now reaped")
+
+
+def _children() -> list[int]:
+    """The pids of this process's children, running or ended, from /proc."""
+    me, found = os.getpid(), []
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else []:
+        try:
+            with open(f"/proc/{entry}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])  # after "pid (comm) state"
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == me:
+            found.append(int(entry))
+    return found

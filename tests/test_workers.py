@@ -2,10 +2,14 @@
 the earliest failure, reaping, no thread, the inline paths, and
 byte-identical eval JSON and sweep CSV whether the work fans out or not.
 Worker: replies in order, errors, shared memory both ways, a dead worker,
-and the one fork rule (usable_cpus) that both follow."""
+and the one fork rule (usable_cpus) that both follow. The test harness's
+guard against a test that leaves a child process."""
 
 import os
+import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -109,7 +113,7 @@ def test_earliest_failing_item_wins(monkeypatch, cpus, bad, raised):
 
 def test_worker_that_dies_or_cannot_send_raises(monkeypatch):
     usable_cpus(monkeypatch, 2)
-    with pytest.raises(ChildProcessError, match="status 3 and no result"):
+    with pytest.raises(WorkerError, match="status 3 and no result"):
         fan_out(lambda x: os._exit(3) if x == 1 else x, range(4))
     with pytest.raises(RuntimeError, match="could not send back its result"):
         fan_out(lambda x: (lambda: x) if x == 1 else x, range(4))  # a lambda does not pickle
@@ -377,3 +381,54 @@ def test_an_error_that_does_not_pickle_comes_back_as_runtime_error():
         with pytest.raises(RuntimeError, match="could not send back its error"):
             w.receive()
     assert_no_child_left()
+
+
+def test_a_value_that_does_not_pickle_comes_back_as_runtime_error():
+    def serve():
+        yield 1
+        yield lambda: 2  # a lambda does not pickle
+        yield 3
+
+    with Worker(serve) as w:
+        w.submit()
+        assert w.receive() == 1
+        with pytest.raises(RuntimeError, match="could not send back its result"):
+            w.receive()
+        w.submit()  # the worker serves the next request from its start
+        assert w.receive() == 1
+    assert_no_child_left()
+
+
+LEAKS = '''
+import os, subprocess, time
+
+def test_leaves_a_running_subprocess():
+    with open("pid", "w") as f:
+        f.write(str(subprocess.Popen(["sleep", "30"]).pid))
+
+def test_leaves_a_running_fork():
+    if os.fork() == 0:
+        time.sleep(30)
+        os._exit(0)
+
+def test_leaves_an_ended_fork():
+    if os.fork() == 0:
+        os._exit(0)
+    time.sleep(0.2)
+
+def test_after_them():
+    pass
+'''
+
+
+def test_harness_fails_a_test_that_leaves_a_child_and_kills_the_child(tmp_path):
+    shutil.copy(os.path.join(os.path.dirname(__file__), "conftest.py"), tmp_path)
+    (tmp_path / "test_leaks.py").write_text(LEAKS)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_leaks.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert "4 passed, 3 errors" in run.stdout, run.stdout
+    assert "the test left child processes behind" in run.stdout
+    with pytest.raises(ProcessLookupError):  # killed, not orphaned
+        os.kill(int((tmp_path / "pid").read_text()), 0)
