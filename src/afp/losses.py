@@ -60,38 +60,67 @@ def cif_halves(batch: TokenBatch) -> tuple[TokenBatch, TokenBatch | None]:
     return first, (second if len(second.tokens) else None)
 
 
+def _own_tape_grads(params: ModelParams, graph: Graph, root: Tensor, grad: np.ndarray | None = None) -> list:
+    """backward over a tape of its own: the gradient of every parameter in
+    params.named() order, None where one has none. The parameters' own .grad
+    is left as it was, so this may run in the middle of another tape's
+    backward."""
+    leaves = [t for _, t in params.named()]
+    held = [t.grad for t in leaves]
+    backward(graph, root, grad)
+    grads = [t.grad for t in leaves]
+    for t, h in zip(leaves, held):
+        t.grad = h
+    return grads
+
+
 def cif_shard(params: ModelParams, shard: TokenBatch, divisor: int):
     """A generator over one CIF shard on a tape of its own, divided by the
     whole batch's count of scored positions: it yields the loss value, then
     the gradient of every parameter in params.named() order (None where one
-    has none, and for every one after a non-finite value).
-
-    The parameters' own .grad is left as it was, so the gradients may be
-    asked for in the middle of another tape's backward."""
-    leaves = [t for _, t in params.named()]
+    has none, and for every one after a non-finite value)."""
     with Graph() as g:
         loss = cif_loss(params, shard, divisor)[0]
     yield loss.data
     if not np.isfinite(loss.data):
-        yield [None] * len(leaves)
+        yield [None] * len(params.tensors)
         return
-    held = [t.grad for t in leaves]
-    backward(g, loss)
-    grads = [t.grad for t in leaves]
-    for t, h in zip(leaves, held):
-        t.grad = h
-    yield grads
+    yield _own_tape_grads(params, g, loss)
 
 
-def in_process(params: ModelParams, shard: TokenBatch, divisor: int):
-    """afp_loss's default second shard: cif_shard in this process, its
-    forward when the value is asked for, its backward when the gradients are."""
+def embed_apart(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, pooling: str):
+    """A generator over one pair side's embed on a tape of its own: it yields
+    the pooled vectors' array; sent d(loss)/d(vectors) of a loss computed
+    from them elsewhere, it yields the gradient of every parameter in
+    params.named() order, as cif_shard does."""
+    with Graph() as g:
+        vectors = embed(params, tokens, pad, layer, pooling).vectors
+    seed = yield vectors.data
+    yield _own_tape_grads(params, g, vectors, seed)
 
-    def finish():
-        run = cif_shard(params, shard, divisor)
-        return next(run), lambda: next(run)
 
-    return finish
+class InProcess:
+    """afp_loss's default runner: what train hands its worker runs in this
+    process instead, in the order of a run with no worker."""
+
+    @staticmethod
+    def second_shard(params: ModelParams, shard: TokenBatch, divisor: int):
+        """cif_shard, its forward when the value is asked for, its backward
+        when the gradients are."""
+
+        def finish():
+            run = cif_shard(params, shard, divisor)
+            return next(run), lambda: next(run)
+
+        return finish
+
+    @staticmethod
+    def target_side(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, pooling: str):
+        """embed on the calling tape, once the source side is embedded."""
+        return lambda: embed(params, tokens, pad, layer, pooling)
+
+
+in_process = InProcess()
 
 
 def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, pooling: str) -> PooledBatch:
@@ -101,7 +130,7 @@ def embed(params: ModelParams, tokens: np.ndarray, pad: np.ndarray, layer: int, 
     return pool(res.hidden_states[layer], pad, pooling, layer=layer)
 
 
-def afp_loss(params: ModelParams, mcl_batch: PairBatch, cif_batch: TokenBatch, config, second_shard=in_process) -> Tensor:
+def afp_loss(params: ModelParams, mcl_batch: PairBatch, cif_batch: TokenBatch, config, runner=in_process) -> Tensor:
     """Combined loss L_MCL + alpha * L_CIF.
 
     Anchors and positives are embedded at config.align_layer from the source
@@ -112,20 +141,29 @@ def afp_loss(params: ModelParams, mcl_batch: PairBatch, cif_batch: TokenBatch, c
     first (T.precomputed), so its gradients are added last. The bits thus
     depend on the fixed split alone, not on where the second shard runs.
 
-    second_shard(params, shard, divisor) is called before MCL and returns a
-    function that gives the shard's loss value and a function giving its
-    gradients, as cif_shard yields them. By default the shard runs in this
-    process: its forward after the first one's, its backward when the
-    tape's backward reaches it; train hands it to its worker.
+    runner holds what may run elsewhere; by default (in_process) all of it
+    runs in this process, and train hands it to its worker. Both are
+    started before the source side is embedded:
+    - runner.second_shard(params, shard, divisor) returns a function giving
+      the shard's loss value and a function giving its gradients, as
+      cif_shard yields them;
+    - at alpha = 0, runner.target_side(params, tokens, pad, layer, pooling)
+      returns a function giving the target side's PooledBatch, recorded
+      where its embed would be. Its gradients may be added after the source
+      side's: each leaf then sums one term per side, and float addition
+      commutes. With CIF a leaf sums three or more terms, so the target
+      side stays on the calling tape, in its place.
     At alpha = 0 the loss is L_MCL alone and no CIF runs.
     """
+    layer, pooling = config.align_layer, config.pooling
     if config.alpha != 0:
         first, second = cif_halves(cif_batch)
         divisor = int(cif_batch.loss_mask.sum())
-        finish = None if second is None else second_shard(params, second, divisor)
-    h = embed(params, mcl_batch.src_tokens, mcl_batch.src_pad, config.align_layer, config.pooling)
-    h_plus = embed(params, mcl_batch.tgt_tokens, mcl_batch.tgt_pad, config.align_layer, config.pooling)
-    mcl = mcl_loss(h, h_plus, config.tau, symmetric=config.symmetric_mcl)
+        finish = None if second is None else runner.second_shard(params, second, divisor)
+    target_side = (runner if config.alpha == 0 else in_process).target_side
+    h_plus = target_side(params, mcl_batch.tgt_tokens, mcl_batch.tgt_pad, layer, pooling)
+    h = embed(params, mcl_batch.src_tokens, mcl_batch.src_pad, layer, pooling)
+    mcl = mcl_loss(h, h_plus(), config.tau, symmetric=config.symmetric_mcl)
     if config.alpha == 0:
         return mcl
     cif = cif_loss(params, first, divisor)[0]

@@ -175,8 +175,13 @@ def apply_op(op: str, out_data: np.ndarray, inputs: tuple, backward) -> Tensor:
     return out
 
 
-def backward(graph: Graph, root: Tensor) -> None:
+def backward(graph: Graph, root: Tensor, grad: np.ndarray | None = None) -> None:
     """Populate .grad = d(root)/d(leaf) for every requires_grad leaf of the tape.
+
+    The root is a scalar, or, given grad, an array of its shape and dtype
+    that stands for d(loss)/d(root) of a loss computed from root elsewhere:
+    the leaves then get d(loss)/d(leaf), with the bits that a scalar root
+    sum_all(mul(root, grad)) would give them.
 
     Accumulation follows reverse tape order, so repeated runs are bit-identical.
     Each node lets go of its inputs, its output's gradient and its backward
@@ -185,8 +190,12 @@ def backward(graph: Graph, root: Tensor) -> None:
     op output's .grad is None afterwards, and graph.nodes keeps only the op
     names. A tape can therefore be differentiated once.
     """
-    if root.data.shape != ():
-        raise UsageError(f"backward root must be scalar, got shape {root.data.shape}")
+    if grad is None:
+        if root.data.shape != ():
+            raise UsageError(f"backward root must be scalar, got shape {root.data.shape}")
+        grad = np.ones((), dtype=root.data.dtype)
+    elif not (isinstance(grad, np.ndarray) and grad.shape == root.data.shape and grad.dtype == root.data.dtype):
+        raise UsageError(f"backward: the seed gradient must be a {root.dtype} array of the root's shape {root.shape}")
     if graph.nodes and graph.nodes[-1].backward is None:
         raise UsageError("backward: this tape was already differentiated")
     seen = set()
@@ -195,7 +204,7 @@ def backward(graph: Graph, root: Tensor) -> None:
             if id(t) not in seen:
                 seen.add(id(t))
                 t.grad = None
-    root.grad = np.ones((), dtype=root.data.dtype)
+    root.grad = grad
     for node in reversed(graph.nodes):
         gout, node.out.grad = node.out.grad, None
         if gout is not None:

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import corpus as C
 from . import losses
+from . import tensor as T
 from .atomic import atomic_write
 from .checkpoint import save_params
 from .config import RunConfig, TrainConfig
@@ -19,7 +20,7 @@ from .losses import afp_loss, cif_loss, embed, in_process, mcl_loss
 from .model import ModelConfig, ModelParams, chunk_plan, forward, init_params, read_logits_nll
 from .optim import OptState, adamw_step, init_opt_state
 # pool is unused here; the benchmark's span tracer patches it by name.
-from .represent import POOLING_METHODS, alignment_metric, pool, retrieval_acc_at_1, uniformity_metric
+from .represent import POOLING_METHODS, PooledBatch, alignment_metric, pool, retrieval_acc_at_1, uniformity_metric
 from .rng import stream
 from .tensor import Graph, Tensor, backward
 from .workers import Worker, fan_out, shared_zeros, usable_cpus
@@ -171,19 +172,27 @@ class _Helper:
     """train()'s worker (afp.workers.Worker) and what it shares with it.
 
     Made before the fork: the parameters, moved into shared memory, which
-    AdamW updates in place; one array per parameter for the gradients of the
-    second CIF shard; and the packed logits of the held-out CIF forward
+    AdamW updates in place; one array per parameter for the gradients the
+    worker computes; and the packed logits of the held-out CIF forward
     (model.chunk_plan), with one claim flag per chunk for each side.
 
-    At each step the worker runs afp_loss's second shard (losses.cif_shard)
-    and sends back its loss value, then, once its backward has written the
-    gradients, which parameters have one. At each eval point it takes whole
-    chunks of the held-out CIF forward from the last one down, while this
-    process embeds the held-out pairs and then takes chunks from the first
-    one up, until each side meets a chunk the other has claimed. A chunk
-    that both claim at once is computed twice, harmlessly: a chunk's rows do
-    not depend on the process that computes them, so both write the same
-    bytes, and the loss keeps the bits of heldout_metrics.
+    It is afp_loss's runner, and the worker runs what afp_loss hands it on
+    its copy of the parameters, which shares their arrays:
+    - with CIF, the second shard (losses.cif_shard): it sends back the loss
+      value, then, once its backward has written the gradients, which
+      parameters have one;
+    - at alpha 0, the target side (losses.embed_apart): it sends back the
+      pooled vectors and holds its tape until the caller's backward sends
+      their gradient, then runs its backward while the caller runs the
+      source side's, writes the gradients and sends which it wrote. The
+      target side is the only pair side the worker embeds.
+    At each eval point it takes whole chunks of the held-out CIF forward
+    from the last one down, while this process embeds the held-out pairs
+    and then takes chunks from the first one up, until each side meets a
+    chunk the other has claimed. A chunk that both claim at once is
+    computed twice, harmlessly: a chunk's rows do not depend on the process
+    that computes them, so both write the same bytes, and the loss keeps
+    the bits of heldout_metrics.
     """
 
     def __init__(self, params: ModelParams, heldout_cif: C.TokenBatch):
@@ -196,6 +205,7 @@ class _Helper:
         self.bounds, self.at = chunk_plan(heldout_cif.tokens.shape, heldout_cif.loss_mask)
         self.logits = shared_zeros((int(self.at[-1]), params.config.vocab_size), params.dtype)
         self.claims = shared_zeros((2, len(self.bounds) - 1), np.uint8)  # [side, chunk]; side 1 is the worker's
+        self.side = None  # in the worker: the target side's run between its two requests
         self.worker = Worker(self._serve)
 
     def __enter__(self):
@@ -205,31 +215,59 @@ class _Helper:
         self.worker.close()
 
     def _serve(self, command, *args):
-        """The worker's side of a request: ("shard", shard, divisor) or ("heldout",)."""
+        """The worker's side of a request: ("shard", shard, divisor),
+        ("side", tokens, pad, layer, pooling), ("side_grads", seed) or ("heldout",)."""
         if command == "heldout":
             self._take_chunks(1)
             yield None
-            return
-        run = losses.cif_shard(self.params, *args)
-        yield next(run)
-        grads = next(run)
+        elif command == "side":
+            self.side = losses.embed_apart(self.params, *args)
+            yield next(self.side)
+        elif command == "side_grads":
+            run, self.side = self.side, None
+            yield self._write_grads(run.send(*args))
+        else:
+            run = losses.cif_shard(self.params, *args)
+            yield next(run)
+            yield self._write_grads(next(run))
+
+    def _write_grads(self, grads) -> list:
         for out, g in zip(self.grads, grads):
             if g is not None:
                 out[...] = g
-        yield [g is not None for g in grads]
+        return [g is not None for g in grads]
+
+    def _written_grads(self) -> list:
+        """The gradients the worker wrote, once it says which (None for the others)."""
+        return [g if held else None for g, held in zip(self.grads, self.worker.receive())]
 
     def second_shard(self, params, shard, divisor):
-        """afp_loss's second_shard, run by the worker from now on on its
-        copy of params, which shares their arrays."""
+        """afp_loss's second_shard, run by the worker."""
         self.worker.submit("shard", shard, divisor)
 
         def finish():
-            value = self.worker.receive()
+            return self.worker.receive(), self._written_grads
 
-            def grads():
-                return [g if held else None for g, held in zip(self.grads, self.worker.receive())]
+        return finish
 
-            return value, grads
+    def target_side(self, params, tokens, pad, layer, pooling):
+        """afp_loss's target_side, run by the worker. Its vectors enter the
+        calling tape as one target_vectors node, whose backward sends their
+        gradient to the worker; the worker's gradients join through a
+        target_side node recorded first (T.precomputed), after the source
+        side's."""
+        self.worker.submit("side", tokens, pad, layer, pooling)
+
+        def finish():
+            vectors = self.worker.receive()
+            leaves = tuple(t for _, t in params.named())
+            join = T.precomputed("target_side", np.zeros((), vectors.dtype), leaves, self._written_grads)
+
+            def send(g):
+                self.worker.submit("side_grads", g)
+                return (np.ones((), g.dtype),)
+
+            return PooledBatch(T.apply_op("target_vectors", vectors, (join,), send), pooling, layer)
 
         return finish
 
@@ -274,9 +312,10 @@ def train(
     (eval-point) parameters attached to the error.
 
     Where afp.workers.usable_cpus() allows, one worker forked per call runs
-    the second CIF shard of every step and a share of each eval point's
-    held-out CIF forward (_Helper); it is reaped before train returns or
-    raises, and the bits are those of a run without it.
+    the second CIF shard of every step (the target side, at alpha 0) and a
+    share of each eval point's held-out CIF forward (_Helper); it is reaped
+    before train returns or raises, and the bits are those of a run without
+    it.
     """
     check_corpus_size(corpus, train_config.mcl_batch)
     params = init_params(model_config, seed)
@@ -291,7 +330,7 @@ def train(
             save_params(os.path.join(checkpoint_dir, f"checkpoint_{tag}.afpt"), params)
 
     with _Helper(params, held_cif) if usable_cpus() > 1 else contextlib.nullcontext() as helper:
-        second_shard = in_process if helper is None else helper.second_shard
+        runner = in_process if helper is None else helper
 
         def heldout_report(step):  # the worker, if any, starts on the CIF forward before the pairs are embedded
             cif = (lambda: cif_loss(params, held_cif)[0]) if helper is None else helper.start_heldout()
@@ -307,7 +346,7 @@ def train(
             cif_batch = next(cif_stream)
             try:
                 with Graph() as g:
-                    loss = afp_loss(params, pair_batch, cif_batch, train_config, second_shard)
+                    loss = afp_loss(params, pair_batch, cif_batch, train_config, runner)
                     value = loss.item()
                     if not np.isfinite(value):
                         raise NumericError(f"non-finite loss {value}")

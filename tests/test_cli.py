@@ -201,14 +201,17 @@ class TestTrain:
         assert (tmp / "run" / "checkpoint_lastgood.afpt").exists()
         assert not (tmp / "run" / "checkpoint.afpt").exists()
 
-    @pytest.mark.parametrize("side", ["target", "cif"])
-    def test_checked_abort_on_either_side_exit_4(self, ws, monkeypatch, side):
+    @pytest.mark.parametrize("side, alpha", [("target", "1.5"), ("target", "0"), ("cif", "1.5")], ids=["target", "target_alpha0", "cif"])
+    def test_checked_abort_on_either_side_exit_4(self, ws, monkeypatch, side, alpha):
+        # with train's worker, which runs the second CIF shard or, at alpha 0,
+        # the target side (test_training.py runs both with 1 and 2 CPUs)
         tmp, cfg = ws
         run_cli(["gen-corpus", "--config", cfg])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         poison_third_call(monkeypatch, side)
         T.set_checked(True)
         try:
-            code = run_cli(["train", "--config", cfg, "--set", "train.steps=4"])
+            code = run_cli(["train", "--config", cfg, "--set", "train.steps=4", "--set", f"train.alpha={alpha}"])
         finally:
             T.set_checked(False)
         assert code == 4

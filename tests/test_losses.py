@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,7 +17,7 @@ from afp.model import ModelConfig, forward, init_params, sequence_nll
 from afp.represent import POOLING_METHODS, PooledBatch, pool
 from afp.rng import stream
 from afp.tensor import Graph, Tensor, backward
-from afp.training import generate_corpus
+from afp.training import _Helper, generate_corpus
 
 
 def pooled(arr):
@@ -265,6 +267,43 @@ class TestAfpLoss:
         assert len(want) == 97
         assert len(results) == 4  # both pair sides and both CIF shards
         assert all(sum(t is not None for t in [*res.hidden_states, res.logits]) == 1 for res in results)
+
+    def test_deep_mcl_tape_with_the_worker(self, monkeypatch):
+        """At alpha 0 train's worker embeds the target side: the calling tape
+        holds the target_side node that joins the worker's gradients first,
+        then the source side, one target_vectors node and the MCL ops, and no
+        forward op of the target side. The gradients are the bytes of the
+        step with both sides on the calling tape."""
+        cfg = RunConfig()
+        tcfg = dataclasses.replace(cfg.train, alpha=0.0, align_layer=4, pooling="last_token", symmetric_mcl=True)
+        corpus = generate_corpus(cfg)
+        pair_batch = C.collate_pairs(corpus.train_pairs[:64])
+        forwards = []
+        real = M.forward
+
+        def counted_forward(*args, **kwargs):
+            forwards.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(losses, "forward", counted_forward)
+        grads = {}
+        for runner in ("in process", "worker"):
+            params = init_params(cfg.model, seed=cfg.seed)
+            forwards.clear()
+            with contextlib.ExitStack() as stack:
+                helper = None if runner == "in process" else stack.enter_context(_Helper(params, C.collate_cif(corpus.heldout_cif)))
+                with Graph() as g:
+                    loss = afp_loss(params, pair_batch, None, tcfg, helper or losses.in_process)
+                ops = [n.op for n in g.nodes]
+                backward(g, loss)
+            grads[runner] = [None if t.grad is None else t.grad.tobytes() for _, t in params.named()]
+        assert [tokens is pair_batch.src_tokens for tokens in forwards] == [True]  # this process's one forward
+        side = ops[1 : ops.index("target_vectors")]
+        assert side[0] == "embedding" and side[-1] == "pool_last"
+        infonce = ["l2_normalize_rows", "l2_normalize_rows", "permute", "matmul", "scale", "cross_entropy_rows"]
+        assert ops == ["target_side", *side, "target_vectors", *infonce, *infonce, "add", "scale"]
+        assert grads["worker"] == grads["in process"]
+        assert all(g is not None for g in grads["worker"][:-3])  # all but the final layer norm and the head
 
     def test_desk_tape_holds_at_most_17_mib(self):
         """Traced numpy memory held after a desk afp_loss forward, the tape

@@ -387,6 +387,45 @@ class TestBackward:
             with pytest.raises(UsageError):
                 backward(g, y)
 
+    @staticmethod
+    def seeded_leaf_grads(dtype, seeded: bool) -> list:
+        """The leaf gradients of a [4, 3] root, a small two-layer net, seeded
+        with a fixed gradient, or through the scalar sum_all(mul(root, seed))."""
+        rng = np.random.default_rng(5)
+        x, w1, w2 = (Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in ((4, 5), (5, 6), (6, 3)))
+        seed = rng.standard_normal((4, 3)).astype(dtype)
+        with Graph() as g:
+            root = T.matmul(T.gelu(T.matmul(x, w1)), w2)
+            if seeded:
+                backward(g, root, seed)
+            else:
+                backward(g, T.sum_all(T.mul(root, Tensor(seed))))
+        return [t.grad.tobytes() for t in (x, w1, w2)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_seeded_root_gives_the_bytes_of_a_scalar_root(self, dtype):
+        assert self.seeded_leaf_grads(dtype, True) == self.seeded_leaf_grads(dtype, False)
+
+    @pytest.mark.parametrize("seed", [np.ones((2, 3)), np.ones((3,)), np.ones((3, 2), np.float32), [[1.0, 1.0, 1.0]] * 3])
+    def test_seed_of_another_shape_or_dtype_rejected(self, seed):
+        x = t64(np.ones((3, 2)), requires_grad=True)
+        with Graph() as g:
+            y = T.mul(x, x)
+            with pytest.raises(UsageError, match="seed gradient"):
+                backward(g, y, seed)
+        assert x.grad is None  # nothing ran
+
+    def test_scalar_root_unchanged_by_the_seed_parameter(self):
+        x = t64([1.0, -2.0, 3.0], requires_grad=True)
+        with Graph() as g:
+            root = T.sum_all(T.mul(x, x))
+            backward(g, root)
+        plain = x.grad
+        with Graph() as g:
+            root = T.sum_all(T.mul(x, x))
+            backward(g, root, np.ones((), np.float64))
+        assert plain.tobytes() == x.grad.tobytes() == (2.0 * x.data).tobytes()
+
     def test_grad_accumulates_over_reuses(self):
         x = t64([2.0], requires_grad=True)
         with Graph() as g:

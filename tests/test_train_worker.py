@@ -2,7 +2,7 @@
 inside a sweep, every eval-point report equal to heldout_metrics on that
 point's checkpoint, and a worker killed part-way through, with no thread
 started and no process left behind. A checked-mode abort in the worker's
-shard is in test_training.py."""
+shard or target side is in test_training.py."""
 
 import dataclasses
 import json
@@ -25,12 +25,24 @@ from test_cli import run_cli
 from test_workers import assert_no_child_left, count_forks, usable_cpus
 
 # The desk model and held-out sets (six chunks in the held-out CIF forward),
-# with smaller training sets and three steps; DESK_MCL is the same at alpha 0.
+# with smaller training sets and three steps; DESK_MCL is the same at alpha 0,
+# and DEEP_MCL is shaped like the benchmark's train_mcl_deep: MCL alone at the
+# top block, last_token pooling, symmetric InfoNCE over 64 pairs.
 DESK = {
     "corpus": {"n_pairs_per_combination": 256, "n_cif": 256},
     "train": {"steps": 3, "eval_every": 2},
 }
 DESK_MCL = {"corpus": DESK["corpus"], "train": {**DESK["train"], "alpha": 0.0}}
+DEEP_MCL = {
+    "corpus": DESK["corpus"],
+    "train": {
+        **DESK_MCL["train"],
+        "align_layer": 4,
+        "pooling": "last_token",
+        "symmetric_mcl": True,
+        "mcl_batch": 64,
+    },
+}
 
 
 def write_config(tmp_path, doc, seed) -> str:
@@ -45,7 +57,7 @@ def run_bytes(run_dir) -> dict:
 
 
 @pytest.mark.parametrize("seed", [1, 11])
-@pytest.mark.parametrize("doc", [DESK, DESK_MCL], ids=["desk", "alpha0"])
+@pytest.mark.parametrize("doc", [DESK, DESK_MCL, DEEP_MCL], ids=["desk", "alpha0", "deep_mcl"])
 def test_train_bits_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, doc, seed):
     config = write_config(tmp_path, doc, seed)
     assert run_cli(["gen-corpus", "--config", config]) == 0
@@ -110,15 +122,24 @@ def kill_worker_on_its_second_call(monkeypatch, module, name):
     monkeypatch.setattr(module, name, dying)
 
 
-@pytest.mark.parametrize("where", ["shard", "heldout"])
+# (config, where the worker is killed): the second step's second CIF shard;
+# at alpha 0 the second step's target side, in its forward request or its
+# backward request; or the second chunk of its share of the first eval point
+KILLS = {
+    "shard": (DESK, losses, "cif_shard"),
+    "side forward": (DESK_MCL, losses, "embed"),
+    "side backward": (DESK_MCL, losses, "backward"),
+    "heldout": (DESK, training, "forward"),
+}
+
+
+@pytest.mark.parametrize("where", KILLS)
 def test_a_killed_worker_makes_train_raise_at_once(monkeypatch, where):
+    doc, module, name = KILLS[where]
     usable_cpus(monkeypatch, 2)
-    if where == "shard":  # the second step's second CIF shard
-        kill_worker_on_its_second_call(monkeypatch, losses, "cif_shard")
-    else:  # the second chunk of the worker's share of the first eval point
-        kill_worker_on_its_second_call(monkeypatch, training, "forward")
+    kill_worker_on_its_second_call(monkeypatch, module, name)
     cfg = RunConfig()
-    tcfg = dataclasses.replace(cfg.train, steps=4, eval_every=2)
+    tcfg = dataclasses.replace(cfg.train, steps=4, eval_every=2, alpha=doc["train"].get("alpha", cfg.train.alpha))
     corpus = training.generate_corpus(cfg)
     start = time.monotonic()
     with pytest.raises(WorkerError, match="ended with status -9"):
@@ -127,11 +148,13 @@ def test_a_killed_worker_makes_train_raise_at_once(monkeypatch, where):
     assert_no_child_left()
 
 
-def test_afp_train_exits_1_when_its_worker_is_killed(tmp_path, monkeypatch, capsys):
-    config = write_config(tmp_path, DESK, 1)
+@pytest.mark.parametrize("where", ["shard", "side forward", "side backward"])
+def test_afp_train_exits_1_when_its_worker_is_killed(tmp_path, monkeypatch, capsys, where):
+    doc, module, name = KILLS[where]
+    config = write_config(tmp_path, doc, 1)
     assert run_cli(["gen-corpus", "--config", config]) == 0
     usable_cpus(monkeypatch, 2)
-    kill_worker_on_its_second_call(monkeypatch, losses, "cif_shard")
+    kill_worker_on_its_second_call(monkeypatch, module, name)
     assert run_cli(["train", "--config", config, "--out", str(tmp_path / "run")]) == 1
     assert "check failure: worker" in capsys.readouterr().err
     assert not (tmp_path / "run" / "checkpoint.afpt").exists()

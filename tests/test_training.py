@@ -68,23 +68,29 @@ def tiny_corpus():
 def poison_third_call(monkeypatch, side):
     """Make afp_loss's third target-side embedding ("target") or the loss of
     the third step's second CIF shard ("cif") non-finite. Returns a sized
-    record of the calls of that side; the shard calls are counted in shared
-    memory, so that those run in train's forked worker count too."""
+    record of the calls of that side, counted in shared memory, so that
+    those run in train's forked worker count too: the worker's only pair
+    side is the target side, and in this process a target side is the
+    embed of the target tokens of the batch afp_loss was given."""
+    calls = SharedCount()
     if side == "target":
-        calls = []
-        real, embeds = losses.embed, []
+        caller, batch = os.getpid(), {}
+        real, real_loss = losses.embed, training.afp_loss
 
-        def poisoned(*args):
-            out = real(*args)
-            embeds.append(args)
-            if len(embeds) % 2:  # the source side, which afp_loss embeds first
+        def spied_loss(params, mcl_batch, *args):
+            batch["target"] = mcl_batch.tgt_tokens
+            return real_loss(params, mcl_batch, *args)
+
+        def poisoned(params, tokens, *args):
+            out = real(params, tokens, *args)
+            if os.getpid() == caller and tokens is not batch.get("target"):
                 return out
-            calls.append(args)
+            calls.add()
             return dataclasses.replace(out, vectors=T.scale(out.vectors, math.inf)) if len(calls) == 3 else out
 
+        monkeypatch.setattr(training, "afp_loss", spied_loss)
         monkeypatch.setattr(losses, "embed", poisoned)
     else:
-        calls = SharedCount()
         real = losses.cif_shard
 
         def poisoned(params, shard, divisor):
@@ -200,13 +206,14 @@ class TestTrain:
         assert err.value.last_good_step >= 0
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    @pytest.mark.parametrize("side", ["target", "cif"])
-    def test_checked_abort_on_either_side_retains_last_good(self, tiny_corpus, monkeypatch, side, cpus):
+    @pytest.mark.parametrize("side, alpha", [("target", 1.5), ("target", 0.0), ("cif", 1.5)], ids=["target", "target_alpha0", "cif"])
+    def test_checked_abort_on_either_side_retains_last_good(self, tiny_corpus, monkeypatch, side, alpha, cpus):
         # the third step's target-side embedding or second CIF shard turns inf,
-        # with the second shard in process (1 CPU) or in train's worker (2)
+        # in process (1 CPU) or, the second shard and at alpha 0 the target
+        # side, in train's worker (2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         poisoned = poison_third_call(monkeypatch, side)
-        cfg = tiny_run_config(steps=4, eval_every=2)
+        cfg = tiny_run_config(steps=4, eval_every=2, alpha=alpha)
         T.set_checked(True)
         try:
             with pytest.raises(TrainingError, match="scale: non-finite") as err:
@@ -216,7 +223,7 @@ class TestTrain:
         assert len(poisoned) == 3
         assert err.value.last_good_step == 2
         monkeypatch.undo()
-        two_steps = tiny_run_config(steps=2, eval_every=2)
+        two_steps = tiny_run_config(steps=2, eval_every=2, alpha=alpha)
         clean = train(two_steps.model, two_steps.train, tiny_corpus, seed=cfg.seed)
         assert params_equal(err.value.last_good_params, clean.params)
         assert not T.recording()  # the aborted step's Graph was closed
