@@ -1,29 +1,24 @@
-"""Forked worker processes: `fan_out` shares independent work items among one
-process per usable CPU, and a `Worker` serves one caller's requests for as
-long as the caller keeps it.
+"""Forked worker processes. A `Worker` is one forked process that serves its
+caller's requests until closed. `fan_out(fn, items, each)` returns
+`[fn(item) for item in items]`, with the items dealt round-robin among the
+caller and `min(usable CPUs, len(items)) - 1` Workers, so long and short
+ones balance.
 
-`fan_out(fn, items, each)` returns `[fn(item) for item in items]`, computed by
-the caller and `min(usable CPUs, len(items)) - 1` workers that `os.fork`
-starts. Items are dealt round-robin (`items[w::n]`), so long and short ones
-balance. A worker inherits the caller's memory, patched module globals
-included, runs the same code on its share and pickles each result, or its
-first exception, back over a pipe as soon as it has it. `each(result)` is
-called in input order as soon as a result and every one before it are in,
-as a serial loop would call it.
-
-A failure ends the work as a serial loop would: the items before the
-earliest failing one still finish (and reach `each`), workers left with only
-later items are killed, the caller stops its own share, and the earliest
-failing item's exception is re-raised with its type, message and
-attributes; a worker that ends before sending its share counts as a
-failure of its next item, WorkerError (an AfpError, so the CLI exits 1), as
-it does for a `Worker`. Every worker is reaped before `fan_out` returns or
-raises.
+The caller walks the items in input order and calls `each(result)` as it
+goes, as a serial loop would. It runs its own items itself and takes a
+worker's with `receive()`; while that result is not in yet (`ready()`), it
+runs its own next items early and keeps their results or exceptions for
+their turn. A failure ends the work as a serial loop would: the items before
+the earliest failing one still finish and reach `each`, then that item's
+exception is raised with its type, message and attributes, and every worker
+is killed and reaped. After one of its own items fails, the caller runs no
+more early. A worker that dies before sending a result raises WorkerError
+(an AfpError, so the CLI exits 1) in its place.
 
 `usable_cpus()` is the one rule for whether to fork at all. It is 1, and
-`fan_out` runs inline as that loop (and `train` keeps its worker's share in
-process), inside another `fan_out` or a `Worker` (no nesting), while a Graph
-is open, while another Python thread runs, and where `os.fork` or
+`fan_out` runs inline (and `train` keeps its worker's share in process),
+inside another `fan_out` or a `Worker` (no nesting), while a Graph is open,
+while another Python thread runs, and where `os.fork` or
 `os.sched_getaffinity` do not exist. Nothing here starts a thread or has a
 knob.
 """
@@ -44,7 +39,7 @@ import numpy as np
 from .errors import WorkerError
 from .tensor import recording
 
-_busy = False  # True while forked workers exist, in the caller and in every worker
+_busy = 0  # the Workers alive in this process; in a worker, 1
 _LEN = struct.Struct("!Q")  # each frame on a pipe to or from a worker: its byte count, then a pickle
 
 
@@ -80,117 +75,45 @@ def fan_out(fn, items, each=None) -> list:
     each(result), if given, is called in input order as results come in."""
     items = list(items)
     procs = min(usable_cpus(), len(items))
+    early = {}  # index -> (failed, result or exception) of the caller's items run and not yet taken
+    own = 0  # the caller's next item
+
+    def share(first):
+        for i in range(first, len(items), procs):
+            yield fn(items[i])
+
+    def run_own() -> bool:
+        """Run the caller's next item; returns whether it failed."""
+        nonlocal own
+        i, own = own, own + procs
+        try:
+            early[i] = (False, fn(items[i]))
+        except Exception as exc:
+            early[i] = (True, exc)
+        return early[i][0]
+
     results = []
-    stream = _forked(fn, items, procs) if procs > 1 else (fn(item) for item in items)
-    with contextlib.closing(stream):
-        for result in stream:
+    with contextlib.ExitStack() as stack:
+        workers = [stack.enter_context(Worker(share)) for _ in range(1, procs)]
+        for first, w in enumerate(workers, 1):
+            w.submit(first)
+        stop = False  # one of the caller's items failed: run no more early
+        for k in range(len(items)):
+            if k % procs:
+                w = workers[k % procs - 1]
+                while not stop and own < len(items) and not w.ready():
+                    stop = run_own()
+                result = w.receive()
+            else:
+                if k == own:
+                    stop = run_own()
+                failed, result = early.pop(k)
+                if failed:
+                    raise result
             results.append(result)
             if each is not None:
                 each(result)
     return results
-
-
-class _Worker:
-    def __init__(self, pid: int, fd: int, first: int):
-        self.pid, self.fd = pid, fd
-        self.next = first  # the index of the next result it sends
-
-
-def _forked(fn, items, procs: int):
-    """Yield fn(item) in input order; raise the earliest failure once every earlier result is yielded."""
-    global _busy
-    for out in (sys.stdout, sys.stderr):  # what the caller printed is not printed again by a worker
-        out.flush()
-    workers = {}  # read end -> _Worker, until reaped
-    done = {}  # index -> result not yet yielded
-    failure = None  # (index, exception) of the earliest failing item known
-
-    def fail(i, exc):
-        nonlocal failure
-        if failure is None or i < failure[0]:
-            failure = (i, exc)
-        for w in list(workers.values()):  # those left with only later items are not needed
-            if w.next > failure[0]:
-                reap(w, kill=True)
-
-    def reap(w, kill):
-        if kill:
-            os.kill(w.pid, signal.SIGKILL)
-        os.close(w.fd)
-        del workers[w.fd]
-        _, status = os.waitpid(w.pid, 0)
-        return status
-
-    def receive(timeout):
-        ready, _, _ = select.select(list(workers), [], [], timeout)
-        for fd in ready:
-            w = workers.get(fd)
-            if w is None:  # reaped by a failure read earlier in this loop
-                continue
-            frame = _recv(fd)
-            if frame is None:
-                status = reap(w, kill=False)
-                if w.next < len(items):
-                    code = os.waitstatus_to_exitcode(status)
-                    fail(w.next, WorkerError(f"worker {w.pid} ended with status {code} and no result"))
-                continue
-            failed, value = frame
-            i, w.next = w.next, w.next + procs
-            if failed:
-                fail(i, value)
-            else:
-                done[i] = value
-
-    _busy = True
-    try:
-        for first in range(1, procs):
-            r, wr = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(fn, items, first, procs, r, wr, list(workers))
-            os.close(wr)
-            workers[r] = _Worker(pid, r, first)
-        own = 0  # the caller's next item
-        for k in range(len(items)):
-            while k not in done:
-                if failure is not None and failure[0] == k:  # every earlier result has been yielded
-                    raise failure[1]
-                if own < len(items) and (failure is None or own < failure[0]):
-                    try:
-                        done[own] = fn(items[own])
-                    except Exception as exc:
-                        fail(own, exc)
-                    own += procs
-                    receive(0)
-                else:
-                    receive(None)
-            yield done.pop(k)
-        while workers:  # each has sent its share: let it flush and leave
-            receive(None)
-    finally:
-        _busy = False
-        for w in list(workers.values()):  # left early: stop and reap the rest
-            reap(w, kill=True)
-
-
-def _work(fn, items, first: int, procs: int, r: int, wr: int, inherited: list) -> None:
-    """A worker's whole life: its share, each result sent into the pipe, then os._exit."""
-    code = 1
-    try:
-        for fd in [r, *inherited]:  # the read ends of this and earlier workers' pipes are the caller's
-            os.close(fd)
-        for i in range(first, len(items), procs):
-            try:
-                failed, value = False, fn(items[i])
-            except Exception as exc:
-                failed, value = True, exc
-            if _reply(wr, failed, value):
-                break
-        for out in (sys.stdout, sys.stderr):
-            out.flush()
-        code = 0
-    finally:
-        os._exit(code)
 
 
 class Worker:
@@ -199,12 +122,14 @@ class Worker:
     `serve(*args)` is a generator function that the caller has before the
     fork. `submit(*args)` pickles args to the worker, which runs
     `serve(*args)` and pickles back each value it yields as soon as it has
-    it; `receive()` returns the next such value. Bulk data goes the other way
+    it; `receive()` returns the next such value, and `ready()` says whether
+    it would return or raise without waiting. Bulk data goes the other way
     round: arrays from `shared_zeros`, made before the fork, that both sides
     write. An exception raised by `serve` is sent in place of its next value,
     and `receive()` raises it with its type, message and attributes. A worker
     that ends without sending what `receive()` waits for, killed or crashed,
-    makes `receive()` or `submit()` raise WorkerError at once.
+    makes `receive()` or `submit()` raise WorkerError at once. What the
+    worker prints is flushed before each value it sends.
 
     While it lives, `usable_cpus()` is 1 in the caller and in the worker.
     `close()` kills and reaps the worker, which holds nothing of its own;
@@ -213,8 +138,7 @@ class Worker:
 
     def __init__(self, serve):
         global _busy
-        for out in (sys.stdout, sys.stderr):  # what the caller printed is not printed again by the worker
-            out.flush()
+        _flush()  # what the caller printed is not printed again by the worker
         requests, self._requests = os.pipe()
         self._replies, replies = os.pipe()
         try:
@@ -227,7 +151,7 @@ class Worker:
             _serve(serve, requests, replies, (self._requests, self._replies))
         os.close(requests)
         os.close(replies)
-        self._was_busy, _busy = _busy, True
+        _busy += 1
 
     def __enter__(self):
         return self
@@ -240,6 +164,10 @@ class Worker:
             _write(self._requests, pickle.dumps(args, pickle.HIGHEST_PROTOCOL))
         except BrokenPipeError:
             raise self._ended() from None
+
+    def ready(self) -> bool:
+        """Whether a value, or the worker's end, is in, so that receive() returns or raises without waiting."""
+        return bool(select.select([self._replies], [], [], 0)[0])
 
     def receive(self):
         frame = _recv(self._replies)
@@ -265,7 +193,7 @@ class Worker:
         os.close(self._replies)
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        _busy = self._was_busy
+        _busy -= 1
         return os.waitstatus_to_exitcode(status)
 
 
@@ -273,7 +201,7 @@ def _serve(serve, requests: int, replies: int, inherited: tuple) -> None:
     """A Worker's whole life: each request served and each value or exception
     sent back, until the caller's end of the pipe closes; then os._exit."""
     global _busy
-    _busy = True
+    _busy = 1
     code = 1
     try:
         for fd in inherited:  # the caller's ends of both pipes
@@ -290,15 +218,23 @@ def _serve(serve, requests: int, replies: int, inherited: tuple) -> None:
         os._exit(code)
 
 
+def _flush() -> None:
+    for out in (sys.stdout, sys.stderr):
+        out.flush()
+
+
 def _reply(fd: int, failed: bool, value) -> bool:
     """Send (failed, value) on fd, or a RuntimeError in its place where value
-    does not pickle; returns whether what was sent is a failure."""
+    does not pickle, once what was printed is out, since the caller may kill
+    the worker as soon as it has the value; returns whether what was sent is
+    a failure."""
     try:
         data = pickle.dumps((failed, value), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         what = "error" if failed else "result"
         failed = True
         data = pickle.dumps((True, RuntimeError(f"a worker could not send back its {what}: {exc!r}")), pickle.HIGHEST_PROTOCOL)
+    _flush()
     _write(fd, data)
     return failed
 

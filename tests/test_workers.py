@@ -1,9 +1,10 @@
-"""fan_out: input order, results handed on as they come, errors, stopping on
-the earliest failure, reaping, no thread, the inline paths, and
-byte-identical eval JSON and sweep CSV whether the work fans out or not.
-Worker: replies in order, errors, shared memory both ways, a dead worker,
-and the one fork rule (usable_cpus) that both follow. The test harness's
-guard against a test that leaves a child process."""
+"""fan_out: input order, results handed on as they come, errors (in fn and
+in each), stopping on the earliest failure, reaping, what a worker prints,
+no thread, the inline paths, and byte-identical eval JSON and sweep CSV
+whether the work fans out or not. Worker: replies in order, errors, ready(),
+shared memory both ways, a dead worker, and the one fork rule (usable_cpus)
+that both follow. The test harness's guard against a test that leaves a
+child process."""
 
 import os
 import shutil
@@ -111,12 +112,57 @@ def test_earliest_failing_item_wins(monkeypatch, cpus, bad, raised):
     assert_no_child_left()
 
 
-def test_worker_that_dies_or_cannot_send_raises(monkeypatch):
-    usable_cpus(monkeypatch, 2)
-    with pytest.raises(WorkerError, match="status 3 and no result"):
-        fan_out(lambda x: os._exit(3) if x == 1 else x, range(4))
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_worker_that_dies_or_cannot_send_raises(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    parent = os.getpid()
+
+    def fn(x):
+        if x == 1:
+            os._exit(3)
+        if x == 2 and os.getpid() != parent:  # with 3 CPUs, the second worker is busy for a minute
+            time.sleep(60)
+        return x
+
+    start = time.monotonic()
+    with pytest.raises(WorkerError, match="ended with status 3 before sending its result"):
+        fan_out(fn, range(4))
+    assert time.monotonic() - start < 20
     with pytest.raises(RuntimeError, match="could not send back its result"):
         fan_out(lambda x: (lambda: x) if x == 1 else x, range(4))  # a lambda does not pickle
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_an_error_in_each_comes_back_unchanged_and_every_worker_is_reaped(monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    closed = BrokenPipeError(32, "Broken pipe")  # as a --verbose log into a closed pipe raises
+
+    def fn(x):
+        time.sleep(0.5 if x == 0 else 60)  # each worker is well into its item when each(0) raises
+        return x
+
+    def each(result):
+        raise closed
+
+    start = time.monotonic()
+    with pytest.raises(BrokenPipeError) as err:
+        fan_out(fn, range(cpus), each)
+    assert err.value is closed
+    assert time.monotonic() - start < 20
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_what_fn_prints_in_a_worker_reaches_stdout_once(capfd, monkeypatch, cpus):
+    usable_cpus(monkeypatch, cpus)
+    with open(1, "w", closefd=False) as out:  # buffered, as stdout into a file or a pipe is
+        monkeypatch.setattr(sys, "stdout", out)
+        sys.stdout.write("before\n")
+        assert fan_out(lambda x: sys.stdout.write(f"item {x}\n") and x, range(7)) == list(range(7))
+        sys.stdout.flush()
+        monkeypatch.undo()
+    assert sorted(capfd.readouterr().out.splitlines()) == sorted(["before"] + [f"item {x}" for x in range(7)])
     assert_no_child_left()
 
 
@@ -365,6 +411,40 @@ def test_a_dead_worker_raises_worker_error_at_once():
     os.waitid(os.P_PID, w.pid, os.WEXITED | os.WNOWAIT)  # dead, not yet reaped
     with pytest.raises(WorkerError, match="ended with status -9"):
         w.submit(0)
+    assert_no_child_left()
+
+
+def wait_until(ready, seconds=10):
+    deadline = time.monotonic() + seconds
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return ready()
+
+
+def test_ready_says_whether_receive_would_wait():
+    go = shared_zeros((1,), np.uint8)
+
+    def serve(code):
+        while not go[0]:
+            time.sleep(0.01)
+        if code:
+            os._exit(code)
+        yield code
+
+    with Worker(serve) as w:
+        w.submit(0)
+        time.sleep(0.2)
+        assert not w.ready()  # still serving
+        go[0] = 1
+        assert wait_until(w.ready)
+        assert w.receive() == 0
+        assert not w.ready()  # idle: nothing more to send
+        w.submit(3)
+        assert wait_until(w.ready)  # dead
+        start = time.monotonic()
+        with pytest.raises(WorkerError, match="ended with status 3"):
+            w.receive()
+        assert time.monotonic() - start < 1
     assert_no_child_left()
 
 
